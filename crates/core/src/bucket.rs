@@ -16,6 +16,7 @@
 //! bounds the completion of a level-`i` insertion by `t + (i+1) 2^{i+2}`.
 
 use crate::viewctx::FixedCache;
+use dtm_graph::Network;
 use dtm_model::{Schedule, Time, Transaction, TxnId};
 use dtm_offline::{BatchContext, BatchScheduler};
 use dtm_sim::{SchedulingPolicy, SystemView};
@@ -104,41 +105,44 @@ impl<A: BatchScheduler> BucketPolicy<A> {
     pub fn parked(&self) -> usize {
         self.buckets.values().map(|b| b.len()).sum()
     }
+}
 
-    fn insert(&mut self, txn: Transaction, ctx: &BatchContext, view: &SystemView<'_>) {
-        let max_level = self.max_level.expect("set in step"); // dtm-lint: allow(C1) -- set unconditionally at the top of step() before any insert
-        let mut chosen = None;
-        for i in 0..=max_level {
-            let mut probe: Vec<Transaction> = self.buckets.get(&i).cloned().unwrap_or_default();
-            probe.push(txn.clone());
-            let f = self.scheduler.makespan(view.network, &probe, ctx);
-            if f <= 1u64 << i {
-                chosen = Some(i);
-                break;
+/// The insertion probe shared by Algorithms 2 and 3: place `txn` into the
+/// bucket of the smallest level `i <= max_level` whose probe
+/// `F_𝒜(T_t^s ∪ B_i ∪ {T}) <= 2^i` succeeds, or into level `max_level`
+/// when every probe fails (an overflow). `key` maps a level to the
+/// bucket's key in `buckets`. The candidate is pushed onto the bucket in
+/// place, probed, and popped again if it does not fit, so no bucket is
+/// copied. Returns `(level, overflow)`.
+// dtm-lint: hot-path
+pub(crate) fn insert_probe<A: BatchScheduler, K: Ord>(
+    scheduler: &mut A,
+    network: &Network,
+    ctx: &BatchContext,
+    buckets: &mut BTreeMap<K, Vec<Transaction>>,
+    key: impl Fn(u32) -> K,
+    max_level: u32,
+    mut txn: Transaction,
+) -> (u32, bool) {
+    for i in 0..=max_level {
+        let fits = |f: Time| f <= 1u64 << i;
+        match buckets.get_mut(&key(i)) {
+            Some(bucket) => {
+                bucket.push(txn);
+                if fits(scheduler.makespan(network, bucket, ctx)) {
+                    return (i, false);
+                }
+                txn = bucket.pop().expect("candidate pushed above"); // dtm-lint: allow(C1) -- the candidate was pushed onto this bucket just above
             }
-        }
-        let (level, overflow) = match chosen {
-            Some(i) => (i, false),
-            None => (max_level, true),
-        };
-        if let Some(stats) = &self.stats {
-            let mut s = stats.lock();
-            s.levels.insert(txn.id, level);
-            s.inserted_at.insert(txn.id, ctx.now);
-            if overflow {
-                s.overflows += 1;
+            None if fits(scheduler.makespan(network, std::slice::from_ref(&txn), ctx)) => {
+                buckets.insert(key(i), vec![txn]); // dtm-lint: allow(H1) -- a new bucket, one per (level, leader) between activations
+                return (i, false);
             }
+            None => {}
         }
-        if let Some(trace) = &self.decisions {
-            trace.lock().push(Decision {
-                t: ctx.now,
-                txn: txn.id,
-                exec_at: None,
-                kind: DecisionKind::BucketInsert { level, overflow },
-            });
-        }
-        self.buckets.entry(level).or_default().push(txn);
     }
+    buckets.entry(key(max_level)).or_default().push(txn);
+    (max_level, true)
 }
 
 impl<A: BatchScheduler> SchedulingPolicy for BucketPolicy<A> {
@@ -168,7 +172,31 @@ impl<A: BatchScheduler> SchedulingPolicy for BucketPolicy<A> {
         order.sort_unstable();
         for id in order {
             let txn = view.live(id).expect("arrival is live").txn.clone(); // dtm-lint: allow(C1, H1) -- engine contract: every id in `arrivals` is live this step; one clone per arrival, absent on quiet steps
-            self.insert(txn, &ctx, view);
+            let (level, overflow) = insert_probe(
+                &mut self.scheduler,
+                view.network,
+                &ctx,
+                &mut self.buckets,
+                |i| i,
+                max_level,
+                txn,
+            );
+            if let Some(stats) = &self.stats {
+                let mut s = stats.lock();
+                s.levels.insert(id, level);
+                s.inserted_at.insert(id, now);
+                if overflow {
+                    s.overflows += 1;
+                }
+            }
+            if let Some(trace) = &self.decisions {
+                trace.lock().push(Decision {
+                    t: now,
+                    txn: id,
+                    exec_at: None,
+                    kind: DecisionKind::BucketInsert { level, overflow },
+                });
+            }
         }
 
         // Activation: level i fires when t is a multiple of 2^i; lower
@@ -185,9 +213,6 @@ impl<A: BatchScheduler> SchedulingPolicy for BucketPolicy<A> {
                 continue;
             }
             let s = self.scheduler.schedule(view.network, &bucket, &ctx);
-            for t in &bucket {
-                ctx.fixed.push((t.clone(), s.get(t.id).expect("scheduled"))); // dtm-lint: allow(C1, H1) -- BatchScheduler contract: schedule() assigns every pending transaction; one clone per activated txn, amortized O(1) over its lifetime
-            }
             if let Some(trace) = &self.decisions {
                 let epoch = now / (self.period_multiplier << i);
                 let mut trace = trace.lock();
@@ -203,6 +228,12 @@ impl<A: BatchScheduler> SchedulingPolicy for BucketPolicy<A> {
                         },
                     });
                 }
+            }
+            // The batch joins the fixed context of higher levels; the
+            // StepContext truncates these entries when the step ends.
+            for t in bucket {
+                let at = s.get(t.id).expect("scheduled"); // dtm-lint: allow(C1) -- BatchScheduler contract: schedule() assigns every pending transaction
+                ctx.fixed.push((t, at));
             }
             fragment.merge(&s);
             if let Some(stats) = &self.stats {

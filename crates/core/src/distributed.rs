@@ -278,54 +278,54 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
 
         // 4. Reports that reached their leader by now: partial-bucket
         // insertion (leader-local probe against the doubled network).
-        let due: Vec<Time> = self.reporting.range(..=now).map(|(&t, _)| t).collect(); // dtm-lint: allow(H1) -- empty collect allocates nothing on idle ticks; O(due reports) otherwise
-                                                                                      // The batch context re-projects every object position, so build it
-                                                                                      // lazily: on a quiet step (no due report, no bucket activating)
-                                                                                      // nothing below reads it. Partial buckets are never empty, so
-                                                                                      // `activating` exactly predicts whether step 5 has work.
+        // The batch context re-projects every object position, so build
+        // it lazily: on a quiet step (no due report, no bucket
+        // activating) nothing below reads it. Partial buckets are never
+        // empty, so `activating` exactly predicts whether step 5 has work.
+        let due = self
+            .reporting
+            .first_key_value()
+            .is_some_and(|(&t, _)| t <= now);
         let activating = self
             .partials
             .keys()
             .any(|&(i, _)| now.is_multiple_of(1u64 << i));
-        if due.is_empty() && !activating {
+        if !due && !activating {
             return Schedule::new();
         }
-        let ctx = self.cache.context(view);
-        for t in due {
-            for report in self.reporting.remove(&t).unwrap_or_default() {
+        let mut ctx = self.cache.context(view);
+        while let Some(entry) = self.reporting.first_entry() {
+            if *entry.key() > now {
+                break;
+            }
+            for report in entry.remove() {
                 // Under stale knowledge the probe sees the object
                 // positions the report carried, aged to the present.
-                let probe_ctx = if self.stale_knowledge {
+                let stale = self.stale_knowledge.then(|| {
                     let mut c = ctx.clone(); // dtm-lint: allow(H1) -- stale-knowledge ablation path (A5), one copy per due report
                     for &(o, (node, ready)) in &report.snapshot {
                         c.object_avail.insert(o, (node, ready.max(now)));
                     }
                     c
-                } else {
-                    ctx.clone() // dtm-lint: allow(H1) -- per due report; the probe mutates its context copy
-                };
-                let mut chosen = None;
-                for i in 0..=max_level {
-                    let mut probe = self
-                        .partials
-                        .get(&(i, report.cluster))
-                        .cloned() // dtm-lint: allow(H1) -- per-level probe copies its partial bucket; bounded by max_level per report
-                        .unwrap_or_default();
-                    probe.push(report.txn.clone()); // dtm-lint: allow(H1) -- probe candidate, one clone per level tried per report
-                    let f = self.scheduler.makespan(&self.doubled, &probe, &probe_ctx);
-                    if f <= 1u64 << i {
-                        chosen = Some(i);
-                        break;
-                    }
-                }
-                let level = chosen.unwrap_or(max_level);
+                });
+                let probe_ctx = stale.as_ref().unwrap_or(&ctx);
+                let id = report.txn.id;
+                let (level, _) = crate::bucket::insert_probe(
+                    &mut self.scheduler,
+                    &self.doubled,
+                    probe_ctx,
+                    &mut self.partials,
+                    |i| (i, report.cluster),
+                    max_level,
+                    report.txn,
+                );
                 if let Some(stats) = &self.stats {
-                    stats.lock().levels.insert(report.txn.id, level);
+                    stats.lock().levels.insert(id, level);
                 }
                 if let Some(trace) = &self.decisions {
                     trace.lock().push(Decision {
                         t: now,
-                        txn: report.txn.id,
+                        txn: id,
                         exec_at: None,
                         kind: DecisionKind::DistInsert {
                             level,
@@ -333,29 +333,20 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
                         },
                     });
                 }
-                self.partials
-                    .entry((level, report.cluster))
-                    .or_default()
-                    .push(report.txn);
             }
         }
 
         // 5. Activation: all partial i-buckets fire when 2^i divides now.
         // Deterministic serialization: ascending (level, cluster id);
-        // each leader sees earlier outputs as fixed.
+        // each leader sees earlier outputs as fixed. The firing levels
+        // are 0..=v2(now), so the firing buckets are a key-order prefix.
         let mut fragment = Schedule::new();
-        let mut ctx = ctx;
-        let keys: Vec<(u32, ClusterId)> = self
-            .partials
-            .keys()
-            .filter(|(i, _)| now.is_multiple_of(1u64 << i))
-            .copied()
-            .collect(); // dtm-lint: allow(H1) -- empty collect allocates nothing when no bucket activates
-        for key in keys {
-            let bucket = self.partials.remove(&key).unwrap_or_default();
-            if bucket.is_empty() {
-                continue;
+        let mut notices = 0u64;
+        while let Some(entry) = self.partials.first_entry() {
+            if !now.is_multiple_of(1u64 << entry.key().0) {
+                break;
             }
+            let (key, bucket) = entry.remove_entry();
             let leader = self.cover.cluster(key.1).leader;
             // Notification latency: the schedule may only start once every
             // member home has heard from the leader.
@@ -364,13 +355,10 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
                 .map(|t| view.network.distance(leader, t.home))
                 .max()
                 .unwrap_or(0);
-            self.bump_messages(bucket.len() as u64);
-            let mut bucket_ctx = ctx.clone(); // dtm-lint: allow(H1) -- one context copy per activated bucket for its notify offset
-            bucket_ctx.now = now + notify;
-            let s = self.scheduler.schedule(&self.doubled, &bucket, &bucket_ctx);
-            for t in &bucket {
-                ctx.fixed.push((t.clone(), s.get(t.id).expect("scheduled"))); // dtm-lint: allow(C1, H1) -- BatchScheduler contract: schedule() assigns every pending transaction; one clone per activated txn, amortized O(1) over its lifetime
-            }
+            notices += bucket.len() as u64;
+            ctx.now = now + notify;
+            let s = self.scheduler.schedule(&self.doubled, &bucket, &ctx);
+            ctx.now = now;
             if let Some(trace) = &self.decisions {
                 let mut trace = trace.lock();
                 for t in &bucket {
@@ -386,7 +374,17 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
                     });
                 }
             }
+            // The batch joins the fixed context of later leaders; the
+            // StepContext truncates these entries when the step ends.
+            for t in bucket {
+                let at = s.get(t.id).expect("scheduled"); // dtm-lint: allow(C1) -- BatchScheduler contract: schedule() assigns every pending transaction
+                ctx.fixed.push((t, at));
+            }
             fragment.merge(&s);
+        }
+        drop(ctx);
+        if notices > 0 {
+            self.bump_messages(notices);
         }
         fragment
     }

@@ -94,4 +94,4 @@ pub use distributed::{DistStats, DistributedBucketPolicy};
 pub use distributed_msg::{DistributedMsgPolicy, MsgStats};
 pub use fifo::{FifoPolicy, TspPolicy};
 pub use greedy::{GreedyMode, GreedyPolicy, GreedyStats};
-pub use viewctx::{batch_context_from_view, FixedCache};
+pub use viewctx::{batch_context_from_view, FixedCache, StepContext};

@@ -199,7 +199,7 @@ impl Network {
     /// weight — the forward phase's per-departure query, answered in one
     /// oracle probe. On any shortest-path hop the edge weight equals the
     /// distance drop `dist(from, target) - dist(next, target)`, so no
-    /// adjacency-list scan is needed.
+    /// scan of the CSR edge row is needed.
     ///
     /// # Panics
     /// Panics if `from == target`.

@@ -5,13 +5,12 @@
 //! folding object positions forward. Always feasible on arbitrary graphs;
 //! quality depends on the order, which the per-topology schedulers tune.
 
-use crate::traits::{handoff_gap, object_release, BatchContext, BatchScheduler};
+use crate::traits::{handoff_gap, release_frontier, BatchContext, BatchScheduler, Release};
 use dtm_graph::Network;
 use dtm_model::{ObjectId, Schedule, Time, Transaction};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
 
 /// Processing order for [`ListScheduler`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,6 +41,63 @@ impl ListScheduler {
             order: ListOrder::Arrival,
         }
     }
+
+    /// `pending` in this scheduler's processing order.
+    fn ordered<'a>(&self, pending: &'a [Transaction]) -> Vec<&'a Transaction> {
+        let mut order: Vec<&Transaction> = pending.iter().collect();
+        match &self.order {
+            ListOrder::Arrival => order.sort_by_key(|t| (t.generated_at, t.id)),
+            ListOrder::ByHome => order.sort_by_key(|t| (t.home, t.id)),
+            ListOrder::Random { seed } => {
+                order.sort_by_key(|t| t.id);
+                let mut rng = ChaCha8Rng::seed_from_u64(*seed);
+                order.shuffle(&mut rng);
+            }
+        }
+        order
+    }
+}
+
+/// Fold `order`ed transactions over the release frontier of `ctx`,
+/// assigning each its earliest feasible time and calling
+/// `emit(txn, exec)` once per transaction, in order.
+///
+/// # Panics
+/// Panics if a transaction requests an object absent from
+/// `ctx.object_avail`.
+fn fold_in_order<'t>(
+    network: &Network,
+    order: impl IntoIterator<Item = &'t Transaction>,
+    ctx: &BatchContext,
+    mut emit: impl FnMut(&Transaction, Time),
+) {
+    let mut frontier = release_frontier(network, ctx);
+    let slot = |frontier: &[(ObjectId, Release)], t: &Transaction, o: ObjectId| {
+        frontier
+            .binary_search_by_key(&o, |&(o, _)| o)
+            .unwrap_or_else(|_| panic!("{} requests unknown object {o}", t.id))
+    };
+    for t in order {
+        let mut exec: Time = ctx.now.max(t.generated_at);
+        for o in t.objects() {
+            let r = frontier[slot(&frontier, t, o)].1;
+            let gap = if r.used {
+                handoff_gap(network, r.node, t.home)
+            } else {
+                network.distance(r.node, t.home)
+            };
+            exec = exec.max(r.ready + gap);
+        }
+        for o in t.objects() {
+            let i = slot(&frontier, t, o);
+            frontier[i].1 = Release {
+                node: t.home,
+                ready: exec,
+                used: true,
+            };
+        }
+        emit(t, exec);
+    }
 }
 
 /// Schedule `order`ed transactions at their earliest feasible times given
@@ -55,30 +111,10 @@ pub fn list_schedule_in_order(
     order: &[&Transaction],
     ctx: &BatchContext,
 ) -> Schedule {
-    let mut avail = object_release(network, ctx);
-    // Objects that already had a transactional user (handoffs from them pay
-    // the >= 1 serialization gap even at distance 0).
-    let mut used: BTreeSet<ObjectId> = ctx.fixed.iter().flat_map(|(t, _)| t.objects()).collect();
     let mut schedule = Schedule::new();
-    for t in order {
-        let mut exec: Time = ctx.now.max(t.generated_at);
-        for o in t.objects() {
-            let &(node, ready) = avail
-                .get(&o)
-                .unwrap_or_else(|| panic!("{} requests unknown object {o}", t.id));
-            let gap = if used.contains(&o) {
-                handoff_gap(network, node, t.home)
-            } else {
-                network.distance(node, t.home)
-            };
-            exec = exec.max(ready + gap);
-        }
+    fold_in_order(network, order.iter().copied(), ctx, |t, exec| {
         schedule.set(t.id, exec);
-        for o in t.objects() {
-            avail.insert(o, (t.home, exec));
-            used.insert(o);
-        }
-    }
+    });
     schedule
 }
 
@@ -89,17 +125,18 @@ impl BatchScheduler for ListScheduler {
         pending: &[Transaction],
         ctx: &BatchContext,
     ) -> Schedule {
-        let mut order: Vec<&Transaction> = pending.iter().collect();
-        match &self.order {
-            ListOrder::Arrival => order.sort_by_key(|t| (t.generated_at, t.id)),
-            ListOrder::ByHome => order.sort_by_key(|t| (t.home, t.id)),
-            ListOrder::Random { seed } => {
-                order.sort_by_key(|t| t.id);
-                let mut rng = ChaCha8Rng::seed_from_u64(*seed);
-                order.shuffle(&mut rng);
-            }
-        }
-        list_schedule_in_order(network, &order, ctx)
+        list_schedule_in_order(network, &self.ordered(pending), ctx)
+    }
+
+    /// The same fold as [`BatchScheduler::schedule`], keeping only the
+    /// latest execution time: a probe builds no [`Schedule`].
+    fn makespan(&mut self, network: &Network, pending: &[Transaction], ctx: &BatchContext) -> Time {
+        // Every fold time is >= ctx.now, so an empty batch yields 0.
+        let mut end = ctx.now;
+        fold_in_order(network, self.ordered(pending), ctx, |_, exec| {
+            end = end.max(exec);
+        });
+        end - ctx.now
     }
 
     fn name(&self) -> String {
@@ -118,6 +155,57 @@ mod tests {
     use dtm_graph::{topology, NodeId};
     use dtm_model::TxnId;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Reference for [`list_schedule_in_order`]: the map-and-set fold it
+    /// replaced (clone the release map, track used objects in a set).
+    fn reference_in_order(
+        network: &Network,
+        order: &[&Transaction],
+        ctx: &BatchContext,
+    ) -> Schedule {
+        let mut avail = reference_release(network, ctx);
+        let mut used: BTreeSet<ObjectId> =
+            ctx.fixed.iter().flat_map(|(t, _)| t.objects()).collect();
+        let mut schedule = Schedule::new();
+        for t in order {
+            let mut exec: Time = ctx.now.max(t.generated_at);
+            for o in t.objects() {
+                let (node, ready) = avail[&o];
+                let gap = if used.contains(&o) {
+                    handoff_gap(network, node, t.home)
+                } else {
+                    network.distance(node, t.home)
+                };
+                exec = exec.max(ready + gap);
+            }
+            schedule.set(t.id, exec);
+            for o in t.objects() {
+                avail.insert(o, (t.home, exec));
+                used.insert(o);
+            }
+        }
+        schedule
+    }
+
+    /// Reference for [`crate::object_release`]: fold the fixed users of
+    /// each object into a cloned availability map.
+    fn reference_release(
+        network: &Network,
+        ctx: &BatchContext,
+    ) -> BTreeMap<ObjectId, (NodeId, Time)> {
+        let mut avail = ctx.object_avail.clone();
+        let mut fixed: Vec<&(Transaction, Time)> = ctx.fixed.iter().collect();
+        fixed.sort_by_key(|(t, time)| (*time, t.id));
+        for (txn, exec) in fixed {
+            for o in txn.objects() {
+                let entry = avail.entry(o).or_insert((txn.home, *exec));
+                let travel = network.distance(entry.0, txn.home);
+                *entry = (txn.home, (entry.1 + travel).max(*exec));
+            }
+        }
+        avail
+    }
 
     fn txn(id: u64, home: u32, objs: &[u32]) -> Transaction {
         Transaction::new(
@@ -220,6 +308,72 @@ mod tests {
             let mut s = ListScheduler { order: ListOrder::Random { seed: order_seed } };
             let sched = s.schedule(&net, &pending, &ctx);
             prop_assert!(validate_batch_schedule(&net, &pending, &ctx, &sched).is_ok());
+        }
+    }
+
+    proptest! {
+        /// The flat frontier fold equals the map-and-set reference for
+        /// every order, on random graphs and contexts with a non-empty
+        /// fixed set, and the schedule-free makespan probe equals the
+        /// span of the full schedule.
+        #[test]
+        fn fold_matches_reference(
+            seed in 0u64..500,
+            topo in 0usize..3,
+            n_fixed in 1usize..8,
+            n_pending in 0usize..10,
+            n_objs in 1u32..7,
+            now in 0u64..20,
+        ) {
+            use rand::Rng;
+            let net = match topo {
+                0 => topology::line(9),
+                1 => topology::grid(&[3, 4]),
+                _ => topology::random(12, 3, 3, seed),
+            };
+            let n = net.n() as u32;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut random_txn = |id: u64, max_obj: u32| {
+                let k = rng.gen_range(1..=3usize);
+                let objs: Vec<ObjectId> = (0..k).map(|_| ObjectId(rng.gen_range(0..max_obj))).collect();
+                let generated_at = rng.gen_range(0..now + 5);
+                Transaction::new(TxnId(id), NodeId(rng.gen_range(0..n)), objs, generated_at)
+            };
+            // Fixed users may also touch objects missing from
+            // `object_avail` (ids n_objs + 2 and n_objs + 3): the fold
+            // must seed those at their first user.
+            let mut fixed: Vec<(Transaction, Time)> =
+                (0..n_fixed).map(|i| (random_txn(100 + i as u64, n_objs + 4), 0)).collect();
+            let pending: Vec<Transaction> =
+                (0..n_pending).map(|i| random_txn(i as u64, n_objs + 2)).collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+            for entry in &mut fixed {
+                entry.1 = now + rng.gen_range(0..12u64);
+            }
+            let mut ctx = BatchContext {
+                now,
+                object_avail: (0..n_objs)
+                    .map(|o| (ObjectId(o), (NodeId(rng.gen_range(0..n)), now + rng.gen_range(0..4u64))))
+                    .collect(),
+                fixed,
+            };
+            // Every object a pending transaction names must be known.
+            for o in n_objs..n_objs + 2 {
+                ctx.object_avail.entry(ObjectId(o)).or_insert((NodeId(0), now));
+            }
+            prop_assert_eq!(crate::object_release(&net, &ctx), reference_release(&net, &ctx));
+            for order in [
+                ListOrder::Arrival,
+                ListOrder::ByHome,
+                ListOrder::Random { seed },
+            ] {
+                let mut s = ListScheduler { order };
+                let sched = s.schedule(&net, &pending, &ctx);
+                let expected = reference_in_order(&net, &s.ordered(&pending), &ctx);
+                prop_assert_eq!(&sched, &expected);
+                let span = sched.makespan_end().map_or(0, |end| end - ctx.now);
+                prop_assert_eq!(s.makespan(&net, &pending, &ctx), span);
+            }
         }
     }
 }

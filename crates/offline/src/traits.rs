@@ -36,26 +36,71 @@ impl BatchContext {
     }
 }
 
-/// Project object availability *after* the fixed transactions execute:
-/// fold each object's fixed users in execution order (the paper's first
-/// basic modification — new transactions are appended after the already
-/// scheduled ones).
-pub fn object_release(network: &Network, ctx: &BatchContext) -> BTreeMap<ObjectId, (NodeId, Time)> {
-    let mut avail = ctx.object_avail.clone();
+/// One object's entry in the release frontier: the node it is released
+/// at, the time it is ready there, and whether a transaction has used it
+/// (a handoff from a used object pays the >= 1 serialization gap even at
+/// distance 0, see [`handoff_gap`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Release {
+    pub(crate) node: NodeId,
+    pub(crate) ready: Time,
+    pub(crate) used: bool,
+}
+
+impl Release {
+    /// Released at `node` from `ready`, with no transactional user yet.
+    fn unused(node: NodeId, ready: Time) -> Self {
+        Release {
+            node,
+            ready,
+            used: false,
+        }
+    }
+}
+
+/// The release frontier after the fixed transactions of `ctx` execute,
+/// as a flat object-sorted vector: fold each object's fixed users in
+/// execution order (the paper's first basic modification — new
+/// transactions are appended after the already scheduled ones).
+pub(crate) fn release_frontier(network: &Network, ctx: &BatchContext) -> Vec<(ObjectId, Release)> {
+    let mut frontier: Vec<(ObjectId, Release)> = ctx
+        .object_avail
+        .iter()
+        .map(|(&o, &(node, ready))| (o, Release::unused(node, ready)))
+        .collect();
     let mut fixed: Vec<&(Transaction, Time)> = ctx.fixed.iter().collect();
     fixed.sort_by_key(|(t, time)| (*time, t.id));
-    for (txn, exec) in fixed {
+    for &(ref txn, exec) in fixed {
         for o in txn.objects() {
-            let entry = avail.entry(o).or_insert((txn.home, *exec));
-            let travel = network.distance(entry.0, txn.home);
+            let i = match frontier.binary_search_by_key(&o, |&(o, _)| o) {
+                Ok(i) => i,
+                Err(i) => {
+                    frontier.insert(i, (o, Release::unused(txn.home, exec)));
+                    i
+                }
+            };
+            let r = &mut frontier[i].1;
+            let travel = network.distance(r.node, txn.home);
             // If the fixed schedule is feasible, exec >= ready + travel;
             // take max defensively so release projections never go back in
             // time.
-            let ready = (entry.1 + travel).max(*exec);
-            *entry = (txn.home, ready);
+            r.ready = (r.ready + travel).max(exec);
+            r.node = txn.home;
+            r.used = true;
         }
     }
-    avail
+    frontier
+}
+
+/// Project object availability *after* the fixed transactions execute:
+/// fold each object's fixed users in execution order (the paper's first
+/// basic modification). A map view of the same release frontier the list
+/// schedulers fold over.
+pub fn object_release(network: &Network, ctx: &BatchContext) -> BTreeMap<ObjectId, (NodeId, Time)> {
+    release_frontier(network, ctx)
+        .into_iter()
+        .map(|(o, r)| (o, (r.node, r.ready)))
+        .collect()
 }
 
 /// An offline batch scheduling algorithm `𝒜`.

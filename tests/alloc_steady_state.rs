@@ -6,22 +6,38 @@
 //! Uses a counting wrapper around the system allocator. This is a
 //! separate integration-test binary so the `unsafe` allocator shim stays
 //! out of every library crate (which all `#![forbid(unsafe_code)]`).
+//!
+//! The counter is per thread: the test harness runs tests on sibling
+//! threads, and a process-wide counter would charge their allocations to
+//! whichever test happened to be measuring. Each test drives its kernel
+//! on its own thread, so the assertions cover exactly that thread.
 
-use dtm_core::GreedyPolicy;
+use dtm_core::{DistributedBucketPolicy, GreedyPolicy};
 use dtm_graph::topology;
 use dtm_model::{ArrivalProcess, OpenLoopSource, WorkloadSpec};
+use dtm_offline::ListScheduler;
 use dtm_sim::{Engine, EngineConfig, Retention};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator with a global allocation counter.
+/// System allocator with a per-thread allocation counter.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` init and a `Drop`-free `Cell`: no lazy registration, so
+    // touching it from inside the allocator cannot recurse into it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only during thread teardown; those allocations
+    // belong to no measurement.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -38,8 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Drive a bursty stream through its on-window, let the live set drain
@@ -88,6 +105,51 @@ fn empty_arrival_steady_ticks_do_not_allocate() {
             after - before,
             0,
             "idle tick {step} (t={}) allocated",
+            kernel.now()
+        );
+        assert_eq!(kernel.live_count(), 0);
+    }
+}
+
+/// Algorithm 3 idles allocation-free too: once a burst has drained, the
+/// distributed bucket policy's step (fixed-cache and conflict-cache
+/// refresh, the due-report and activation checks) and the kernel's
+/// half-speed object handling touch no allocator on an idle tick.
+#[test]
+fn distributed_bucket_idle_ticks_do_not_allocate() {
+    let net = topology::clique(8);
+    let spec = WorkloadSpec::batch_uniform(8, 2);
+    let source = OpenLoopSource::new(
+        net.clone(),
+        spec,
+        ArrivalProcess::OnOff {
+            rate: 0.3,
+            on: 200,
+            off: 10_000,
+        },
+        11,
+    );
+    let config = EngineConfig {
+        retention: Retention::Streaming { warmup: 0 },
+        record_events: false,
+        max_steps: u64::MAX,
+        ..DistributedBucketPolicy::<ListScheduler>::engine_config()
+    };
+    let policy = DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 31);
+    let mut kernel = Engine::new(net, policy, config).into_kernel(source);
+
+    kernel.run_for(2_000);
+    assert_eq!(kernel.live_count(), 0, "burst did not drain");
+    assert!(kernel.commit_count() > 0, "burst produced no work");
+
+    for step in 0..1_000u64 {
+        let before = allocations();
+        kernel.tick();
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "idle distributed-bucket tick {step} (t={}) allocated",
             kernel.now()
         );
         assert_eq!(kernel.live_count(), 0);
