@@ -18,7 +18,6 @@ use dtm_telemetry::{MetricsRegistry, TelemetrySink};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn bench_dijkstra(c: &mut Criterion) {
@@ -90,22 +89,13 @@ fn bench_lower_bound(c: &mut Criterion) {
     });
 }
 
-/// One live population two ways: map-backed (the legacy `SystemView::new`
-/// backing, where `requesters_of` rescans every live transaction) and
-/// arena-backed (the requester index answers directly).
-fn live_population(
-    seed: u64,
-) -> (
-    BTreeMap<TxnId, LiveTxn>,
-    BTreeMap<ObjectId, ObjectState>,
-    RuntimeState,
-) {
+/// One arena-backed live population: 512 transactions over 64 objects on
+/// `hypercube(8)`, answered by the requester index.
+fn live_population(seed: u64) -> RuntimeState {
     const N_NODES: u32 = 256; // hypercube(8)
     const N_TXNS: u64 = 512;
     const N_OBJS: u32 = 64;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut live = BTreeMap::new();
-    let mut objects = BTreeMap::new();
     let mut state = RuntimeState::new();
     for o in 0..N_OBJS {
         let st = ObjectState {
@@ -117,7 +107,6 @@ fn live_population(
             place: ObjectPlace::At(NodeId(rng.gen_range(0..N_NODES))),
             last_holder: None,
         };
-        objects.insert(ObjectId(o), st.clone());
         state.insert_object(st);
     }
     for id in 0..N_TXNS {
@@ -126,25 +115,14 @@ fn live_population(
             txn: Transaction::new(TxnId(id), NodeId(rng.gen_range(0..N_NODES)), set, 0),
             scheduled: (id % 2 == 0).then_some(id),
         };
-        live.insert(TxnId(id), lt.clone());
         state.insert_txn(lt);
     }
-    (live, objects, state)
+    state
 }
 
 fn bench_requesters_of(c: &mut Criterion) {
     let net = topology::hypercube(8);
-    let (live, objects, state) = live_population(17);
-    c.bench_function("substrate/requesters-of/maps-scan-512txns", |b| {
-        let view = SystemView::new(0, &net, &live, &objects);
-        b.iter(|| {
-            let mut total = 0usize;
-            for o in 0..64u32 {
-                total += view.requesters_of(ObjectId(o)).len();
-            }
-            std::hint::black_box(total)
-        })
-    });
+    let state = live_population(17);
     c.bench_function("substrate/requesters-of/indexed-512txns", |b| {
         let view = SystemView::from_state(0, &net, &state);
         b.iter(|| {

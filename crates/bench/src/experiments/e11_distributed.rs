@@ -11,12 +11,12 @@
 use crate::runner::{run_summary, WorkloadKind};
 use crate::table::fmt_ratio;
 use crate::{ParallelGrid, Table};
-use dtm_core::{BucketPolicy, DistStats, DistributedBucketPolicy};
+use dtm_core::{BucketPolicy, DistributedBucketPolicy};
 use dtm_graph::{topology, Network};
 use dtm_model::WorkloadSpec;
 use dtm_offline::ListScheduler;
 use dtm_sim::EngineConfig;
-use parking_lot::Mutex;
+use dtm_telemetry::{decision_trace, Counter, DecisionKind};
 use std::sync::Arc;
 
 /// Run E11.
@@ -60,16 +60,27 @@ pub fn run(quick: bool) -> Vec<Table> {
                 BucketPolicy::new(ListScheduler::fifo()),
                 EngineConfig::default(),
             );
-            let stats = Arc::new(Mutex::new(DistStats::default()));
+            let trace = decision_trace();
+            let messages = Arc::new(Counter::default());
             let dist_policy = DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 17)
-                .with_stats(Arc::clone(&stats));
+                .with_decision_trace(Arc::clone(&trace))
+                .with_message_counter(Arc::clone(&messages));
             let dist = run_summary(
                 &net,
                 wl(1100),
                 dist_policy,
                 DistributedBucketPolicy::<ListScheduler>::engine_config(),
             );
-            let s = stats.lock();
+            let max_report_latency = trace
+                .lock()
+                .decisions
+                .iter()
+                .filter_map(|d| match d.kind {
+                    DecisionKind::DistReport { report_latency, .. } => Some(report_latency),
+                    _ => None,
+                })
+                .max()
+                .unwrap_or(0);
             let overhead = dist.makespan as f64 / central.makespan.max(1) as f64;
             vec![
                 net.name().to_string(),
@@ -79,13 +90,8 @@ pub fn run(quick: bool) -> Vec<Table> {
                 fmt_ratio(overhead),
                 fmt_ratio(central.ratio),
                 fmt_ratio(dist.ratio),
-                s.messages.to_string(),
-                s.report_latency
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(0)
-                    .to_string(),
+                messages.get().to_string(),
+                max_report_latency.to_string(),
             ]
         });
     }

@@ -9,12 +9,12 @@
 
 use crate::table::fmt_ratio;
 use crate::{ParallelGrid, Table};
-use dtm_core::{DistributedBucketPolicy, DistributedMsgPolicy, MsgStats};
+use dtm_core::{DistributedBucketPolicy, DistributedMsgPolicy};
 use dtm_graph::{topology, Network};
 use dtm_model::{ClosedLoopSource, Time, WorkloadSpec};
 use dtm_offline::{competitive_ratio, ListScheduler};
 use dtm_sim::{run_policy, validate_events, RunResult, ValidationConfig};
-use parking_lot::Mutex;
+use dtm_telemetry::{decision_trace, Counter, DecisionKind};
 use std::sync::Arc;
 
 fn lateness(res: &RunResult) -> (f64, Time) {
@@ -63,13 +63,15 @@ pub fn run(quick: bool) -> Vec<Table> {
             grid.cell(move || {
                 let spec = WorkloadSpec::batch_uniform((net.n() as u32 / 2).max(2), 2);
                 let src = ClosedLoopSource::new(net.clone(), spec, 2, 1600);
+                let messages = Arc::new(Counter::default());
                 if msg_level {
-                    let stats = Arc::new(Mutex::new(MsgStats::default()));
+                    let trace = decision_trace();
                     let res = run_policy(
                         &net,
                         src,
                         DistributedMsgPolicy::new(&net, ListScheduler::fifo(), 23)
-                            .with_stats(Arc::clone(&stats)),
+                            .with_decision_trace(Arc::clone(&trace))
+                            .with_message_counter(Arc::clone(&messages)),
                         DistributedMsgPolicy::<ListScheduler>::engine_config(),
                     );
                     res.expect_ok();
@@ -85,24 +87,28 @@ pub fn run(quick: bool) -> Vec<Table> {
                     .unwrap();
                     let ratio = competitive_ratio(&net, &res);
                     let (mean_late, max_late) = lateness(&res);
-                    let s = stats.lock();
+                    let chases = trace
+                        .lock()
+                        .decisions
+                        .iter()
+                        .filter(|d| matches!(d.kind, DecisionKind::DistChase { .. }))
+                        .count();
                     vec![
                         net.name().to_string(),
-                        format!("message-level (+{} chases)", s.chase_forwards),
+                        format!("message-level (+{chases} chases)"),
                         res.metrics.committed.to_string(),
                         res.metrics.makespan.to_string(),
                         fmt_ratio(ratio.max_ratio),
-                        s.messages.to_string(),
+                        messages.get().to_string(),
                         format!("{mean_late:.1}"),
                         max_late.to_string(),
                     ]
                 } else {
-                    let stats = Arc::new(Mutex::new(dtm_core::DistStats::default()));
                     let res = run_policy(
                         &net,
                         src,
                         DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 23)
-                            .with_stats(Arc::clone(&stats)),
+                            .with_message_counter(Arc::clone(&messages)),
                         DistributedBucketPolicy::<ListScheduler>::engine_config(),
                     );
                     res.expect_ok();
@@ -117,14 +123,13 @@ pub fn run(quick: bool) -> Vec<Table> {
                     .unwrap();
                     let ratio = competitive_ratio(&net, &res);
                     let (mean_late, max_late) = lateness(&res);
-                    let messages = stats.lock().messages;
                     vec![
                         net.name().to_string(),
                         "idealized".into(),
                         res.metrics.committed.to_string(),
                         res.metrics.makespan.to_string(),
                         fmt_ratio(ratio.max_ratio),
-                        messages.to_string(),
+                        messages.get().to_string(),
                         format!("{mean_late:.1}"),
                         max_late.to_string(),
                     ]

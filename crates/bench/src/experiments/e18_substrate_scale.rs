@@ -131,7 +131,11 @@ pub fn run(quick: bool) -> Vec<Table> {
     } else {
         vec![100, 1_000, 10_000, 100_000]
     };
-    let (steps, warmup) = if quick { (500u64, 125u64) } else { (1_500, 375) };
+    let (steps, warmup) = if quick {
+        (500u64, 125u64)
+    } else {
+        (1_500, 375)
+    };
 
     // Every (size, generator) cell builds its network inside the cell —
     // construction cost is part of what the decade ladder exercises, and

@@ -10,11 +10,11 @@
 
 use crate::table::fmt_ratio;
 use crate::{ParallelGrid, Table};
-use dtm_core::{GreedyPolicy, GreedyStats};
+use dtm_core::GreedyPolicy;
 use dtm_graph::{topology, Network};
-use dtm_model::{FiniteArrivals, ObjectChoice, TraceSource, WorkloadGenerator, WorkloadSpec};
+use dtm_model::{FiniteArrivals, ObjectChoice, Time, TraceSource, WorkloadGenerator, WorkloadSpec};
 use dtm_sim::{run_policy, EngineConfig};
-use parking_lot::Mutex;
+use dtm_telemetry::{decision_trace, DecisionKind};
 use std::sync::Arc;
 
 fn workload(net: &Network, k: usize, seed: u64) -> dtm_model::Instance {
@@ -28,6 +28,26 @@ fn workload(net: &Network, k: usize, seed: u64) -> dtm_model::Instance {
         },
     };
     WorkloadGenerator::new(spec, seed).generate(net)
+}
+
+/// `(color, bound)` of every [`DecisionKind::GreedyColor`] record.
+fn color_bounds(decisions: &[dtm_telemetry::Decision]) -> Vec<(Time, Time)> {
+    decisions
+        .iter()
+        .filter_map(|d| match d.kind {
+            DecisionKind::GreedyColor { color, bound, .. } => Some((color, bound)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Largest color/bound ratio over records with a positive bound.
+fn worst_util(assigned: &[(Time, Time)]) -> f64 {
+    assigned
+        .iter()
+        .filter(|&&(_, b)| b > 0)
+        .map(|&(c, b)| c as f64 / b as f64)
+        .fold(0.0f64, f64::max)
 }
 
 /// Run E1/E2.
@@ -55,9 +75,9 @@ pub fn run(quick: bool) -> Vec<Table> {
     for net in &topologies {
         let seeds = &seeds;
         grid1.cell(move || {
-            // Stats are per-cell: each topology accumulates its own
-            // GreedyStats across its seeds, so cells stay independent.
-            let stats = Arc::new(Mutex::new(GreedyStats::default()));
+            // Traces are per-cell: each topology accumulates its own
+            // decisions across its seeds, so cells stay independent.
+            let trace = decision_trace();
             let mut txns = 0usize;
             for &seed in seeds {
                 let inst = workload(net, 3, seed);
@@ -65,21 +85,16 @@ pub fn run(quick: bool) -> Vec<Table> {
                 let res = run_policy(
                     net,
                     TraceSource::new(inst),
-                    GreedyPolicy::new().with_stats(Arc::clone(&stats)),
+                    GreedyPolicy::new().with_decision_trace(Arc::clone(&trace)),
                     EngineConfig::default(),
                 );
                 res.expect_ok();
             }
-            let s = stats.lock();
-            let max_color = s.assigned.iter().map(|&(_, c, _)| c).max().unwrap_or(0);
-            let max_bound = s.assigned.iter().map(|&(_, _, b)| b).max().unwrap_or(0);
-            let worst = s
-                .assigned
-                .iter()
-                .filter(|&&(_, _, b)| b > 0)
-                .map(|&(_, c, b)| c as f64 / b as f64)
-                .fold(0.0f64, f64::max);
-            let violations = s.assigned.iter().filter(|&&(_, c, b)| c > b).count();
+            let assigned = color_bounds(&trace.lock().decisions);
+            let max_color = assigned.iter().map(|&(c, _)| c).max().unwrap_or(0);
+            let max_bound = assigned.iter().map(|&(_, b)| b).max().unwrap_or(0);
+            let worst = worst_util(&assigned);
+            let violations = assigned.iter().filter(|&&(c, b)| c > b).count();
             vec![
                 net.name().to_string(),
                 txns.to_string(),
@@ -114,7 +129,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     for (net, beta) in &uniform_cases {
         let seeds = &seeds;
         grid2.cell(move || {
-            let stats = Arc::new(Mutex::new(GreedyStats::default()));
+            let trace = decision_trace();
             let mut txns = 0usize;
             for &seed in seeds {
                 let inst = workload(net, 2, seed);
@@ -122,24 +137,19 @@ pub fn run(quick: bool) -> Vec<Table> {
                 let res = run_policy(
                     net,
                     TraceSource::new(inst),
-                    GreedyPolicy::uniform(*beta).with_stats(Arc::clone(&stats)),
+                    GreedyPolicy::uniform(*beta).with_decision_trace(Arc::clone(&trace)),
                     EngineConfig::default(),
                 );
                 res.expect_ok();
             }
-            let s = stats.lock();
-            let max_color = s.assigned.iter().map(|&(_, c, _)| c).max().unwrap_or(0);
-            let worst = s
-                .assigned
-                .iter()
-                .filter(|&&(_, _, b)| b > 0)
-                .map(|&(_, c, b)| c as f64 / b as f64)
-                .fold(0.0f64, f64::max);
-            let violations = s.assigned.iter().filter(|&&(_, c, b)| c > b).count();
+            let assigned = color_bounds(&trace.lock().decisions);
+            let max_color = assigned.iter().map(|&(c, _)| c).max().unwrap_or(0);
+            let worst = worst_util(&assigned);
+            let violations = assigned.iter().filter(|&&(c, b)| c > b).count();
             // Colors are offsets from arrival; absolute execution times are
             // the β-multiples (checked by the greedy unit tests), so here we
             // only require positivity.
-            assert!(s.assigned.iter().all(|&(_, c, _)| c >= 1));
+            assert!(assigned.iter().all(|&(c, _)| c >= 1));
             vec![
                 net.name().to_string(),
                 beta.to_string(),

@@ -7,20 +7,25 @@
 
 use crate::table::fmt_ratio;
 use crate::{ParallelGrid, Table};
-use dtm_core::{BucketPolicy, BucketStats};
+use dtm_core::BucketPolicy;
 use dtm_graph::{topology, Network};
-use dtm_model::{FiniteArrivals, ObjectChoice, TraceSource, WorkloadGenerator, WorkloadSpec};
+use dtm_model::{
+    FiniteArrivals, ObjectChoice, Time, TraceSource, TxnId, WorkloadGenerator, WorkloadSpec,
+};
 use dtm_offline::{BatchScheduler, LineScheduler, ListScheduler};
 use dtm_sim::{run_policy, EngineConfig, RunResult};
-use parking_lot::Mutex;
+use dtm_telemetry::{decision_trace, Decision, DecisionKind};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+/// Run Algorithm 2 on a Bernoulli workload; returns the run and its
+/// decision records.
 fn run_one<A: BatchScheduler>(
     net: &Network,
     scheduler: A,
     seed: u64,
     rate: f64,
-) -> (RunResult, BucketStats) {
+) -> (RunResult, Vec<Decision>) {
     let spec = WorkloadSpec {
         num_objects: (net.n() as u32 / 3).max(2),
         k: 2,
@@ -28,16 +33,27 @@ fn run_one<A: BatchScheduler>(
         arrival: FiniteArrivals::Bernoulli { rate, horizon: 40 },
     };
     let inst = WorkloadGenerator::new(spec, seed).generate(net);
-    let stats = Arc::new(Mutex::new(BucketStats::default()));
+    let trace = decision_trace();
     let res = run_policy(
         net,
         TraceSource::new(inst),
-        BucketPolicy::new(scheduler).with_stats(Arc::clone(&stats)),
+        BucketPolicy::new(scheduler).with_decision_trace(Arc::clone(&trace)),
         EngineConfig::default(),
     );
     res.expect_ok();
-    let s = stats.lock().clone();
-    (res, s)
+    let decisions = std::mem::take(&mut trace.lock().decisions);
+    (res, decisions)
+}
+
+/// `(txn, insert step, level, overflow)` per `BucketInsert` record.
+fn insertions(decisions: &[Decision]) -> Vec<(TxnId, Time, u32, bool)> {
+    decisions
+        .iter()
+        .filter_map(|d| match d.kind {
+            DecisionKind::BucketInsert { level, overflow } => Some((d.txn, d.t, level, overflow)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Run E6/E7.
@@ -63,21 +79,21 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut grid = ParallelGrid::new("E6");
     for (net, use_line) in cases {
         grid.cell(move || {
-            let (res, stats) = if use_line {
+            let (res, decisions) = if use_line {
                 run_one(&net, LineScheduler, 5, rate)
             } else {
                 run_one(&net, ListScheduler::fifo(), 5, rate)
             };
+            let inserted = insertions(&decisions);
             let bound = net.max_bucket_level();
-            let max_level = stats.levels.values().copied().max().unwrap_or(0);
+            let max_level = inserted.iter().map(|&(_, _, l, _)| l).max().unwrap_or(0);
             assert!(max_level <= bound, "Lemma 3 violated on {}", net.name());
             // Lemma 4: worst utilization of the deadline budget.
             let mut worst = 0.0f64;
-            for (&id, &lvl) in &stats.levels {
-                let inserted = stats.inserted_at[&id];
+            for &(id, at, lvl, _) in &inserted {
                 let commit = res.commits[&id];
                 let deadline = (lvl as u64 + 1) * (1u64 << (lvl + 2));
-                let used = (commit - inserted) as f64 / deadline as f64;
+                let used = (commit - at) as f64 / deadline as f64;
                 assert!(
                     used <= 1.0,
                     "Lemma 4 violated for {id} on {}: used {used:.2}",
@@ -87,10 +103,10 @@ pub fn run(quick: bool) -> Vec<Table> {
             }
             vec![
                 net.name().to_string(),
-                stats.levels.len().to_string(),
+                inserted.len().to_string(),
                 max_level.to_string(),
                 bound.to_string(),
-                stats.overflows.to_string(),
+                inserted.iter().filter(|i| i.3).count().to_string(),
                 fmt_ratio(worst),
             ]
         });
@@ -104,22 +120,22 @@ pub fn run(quick: bool) -> Vec<Table> {
         "E6 — bucket level distribution, line(64), Bernoulli arrivals",
         &["level", "txns inserted", "activations"],
     );
-    let (_, stats) = run_one(&topology::line(64), LineScheduler, 6, rate);
-    let mut counts: std::collections::BTreeMap<u32, usize> = Default::default();
-    for &lvl in stats.levels.values() {
+    let (_, decisions) = run_one(&topology::line(64), LineScheduler, 6, rate);
+    let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
+    for (_, _, lvl, _) in insertions(&decisions) {
         *counts.entry(lvl).or_insert(0) += 1;
     }
+    // One activation per distinct (level, epoch) among the records.
+    let activations: BTreeSet<(u32, u64)> = decisions
+        .iter()
+        .filter_map(|d| match d.kind {
+            DecisionKind::BucketActivate { level, epoch, .. } => Some((level, epoch)),
+            _ => None,
+        })
+        .collect();
     for (lvl, cnt) in counts {
-        hist.row(vec![
-            lvl.to_string(),
-            cnt.to_string(),
-            stats
-                .activations
-                .get(&lvl)
-                .copied()
-                .unwrap_or(0)
-                .to_string(),
-        ]);
+        let fired = activations.iter().filter(|&&(l, _)| l == lvl).count();
+        hist.row(vec![lvl.to_string(), cnt.to_string(), fired.to_string()]);
     }
     vec![t, hist]
 }

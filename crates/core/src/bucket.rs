@@ -21,33 +21,13 @@ use dtm_model::{Schedule, Time, Transaction, TxnId};
 use dtm_offline::{BatchContext, BatchScheduler};
 use dtm_sim::{SchedulingPolicy, SystemView};
 use dtm_telemetry::{Decision, DecisionKind, DecisionTraceHandle};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Observability for experiments E6/E7: insertion levels, activation
-/// counts, and overflow insertions (inputs the probe rejected everywhere).
-#[derive(Clone, Debug, Default)]
-pub struct BucketStats {
-    /// Bucket level each transaction was inserted into.
-    // dtm-lint: bounded -- experiment-scoped stats (Retention::Full runs); streaming runs leave stats detached
-    pub levels: BTreeMap<TxnId, u32>,
-    /// Insertion time of each transaction.
-    // dtm-lint: bounded -- experiment-scoped stats (Retention::Full runs); streaming runs leave stats detached
-    pub inserted_at: BTreeMap<TxnId, Time>,
-    /// Non-empty activations per level.
-    // dtm-lint: bounded -- keyed by bucket level, at most O(log n) levels exist per network
-    pub activations: BTreeMap<u32, u64>,
-    /// Transactions that exceeded every probe and were force-inserted at
-    /// the maximum level (0 in theorem-compliant runs).
-    pub overflows: u64,
-}
 
 /// Algorithm 2, generic over the offline batch scheduler `𝒜`.
 ///
 /// `Clone` (for [`dtm_sim::SchedulingPolicy::fork`] checkpoints)
-/// captures the parked buckets and the fixed-context cache; attached
-/// stats/decision handles are shared, not duplicated.
+/// captures the parked buckets and the fixed-context cache; an attached
+/// decision-trace handle is shared, not duplicated.
 ///
 /// **Boundedness (open-system audit).** `buckets` holds only parked,
 /// unscheduled transactions and drains completely at each activation;
@@ -60,7 +40,6 @@ pub struct BucketPolicy<A> {
     buckets: BTreeMap<u32, Vec<Transaction>>,
     max_level: Option<u32>,
     period_multiplier: u64,
-    stats: Option<Arc<Mutex<BucketStats>>>,
     decisions: Option<DecisionTraceHandle>,
     cache: FixedCache,
 }
@@ -73,16 +52,9 @@ impl<A: BatchScheduler> BucketPolicy<A> {
             buckets: BTreeMap::new(),
             max_level: None,
             period_multiplier: 1,
-            stats: None,
             decisions: None,
             cache: FixedCache::default(),
         }
-    }
-
-    /// Attach a stats handle.
-    pub fn with_stats(mut self, stats: Arc<Mutex<BucketStats>>) -> Self {
-        self.stats = Some(stats);
-        self
     }
 
     /// Record one [`DecisionKind::BucketInsert`] per arrival and one
@@ -181,14 +153,6 @@ impl<A: BatchScheduler> SchedulingPolicy for BucketPolicy<A> {
                 max_level,
                 txn,
             );
-            if let Some(stats) = &self.stats {
-                let mut s = stats.lock();
-                s.levels.insert(id, level);
-                s.inserted_at.insert(id, now);
-                if overflow {
-                    s.overflows += 1;
-                }
-            }
             if let Some(trace) = &self.decisions {
                 trace.lock().push(Decision {
                     t: now,
@@ -236,9 +200,6 @@ impl<A: BatchScheduler> SchedulingPolicy for BucketPolicy<A> {
                 ctx.fixed.push((t, at));
             }
             fragment.merge(&s);
-            if let Some(stats) = &self.stats {
-                *stats.lock().activations.entry(i).or_insert(0) += 1;
-            }
         }
         fragment
     }
@@ -259,6 +220,22 @@ mod tests {
     };
     use dtm_offline::{LineScheduler, ListScheduler};
     use dtm_sim::{run_policy, validate_events, EngineConfig, ValidationConfig};
+    use dtm_telemetry::{decision_trace, DecisionTrace};
+    use std::sync::Arc;
+
+    /// `(txn, insert step, level, overflow)` per `BucketInsert` record.
+    fn insertions(trace: &DecisionTrace) -> Vec<(TxnId, Time, u32, bool)> {
+        trace
+            .decisions
+            .iter()
+            .filter_map(|d| match d.kind {
+                DecisionKind::BucketInsert { level, overflow } => {
+                    Some((d.txn, d.t, level, overflow))
+                }
+                _ => None,
+            })
+            .collect()
+    }
 
     fn obj(id: u32, origin: u32) -> ObjectInfo {
         ObjectInfo {
@@ -280,18 +257,18 @@ mod tests {
     #[test]
     fn light_txn_lands_in_low_bucket() {
         let net = topology::line(8);
-        let stats = Arc::new(Mutex::new(BucketStats::default()));
+        let trace = decision_trace();
         // Object next to its single requester: F = 1 -> level 0.
         let inst = Instance::new(vec![obj(0, 4)], vec![txn(0, 5, &[0], 0)]);
         let res = run_policy(
             &net,
             TraceSource::new(inst),
-            BucketPolicy::new(ListScheduler::fifo()).with_stats(Arc::clone(&stats)),
+            BucketPolicy::new(ListScheduler::fifo()).with_decision_trace(Arc::clone(&trace)),
             EngineConfig::default(),
         );
         res.expect_ok();
         validate_events(&net, &res, &ValidationConfig::default()).unwrap();
-        assert_eq!(stats.lock().levels[&TxnId(0)], 0);
+        assert_eq!(insertions(&trace.lock()), vec![(TxnId(0), 0, 0, false)]);
         // Level 0 activates instantly: committed at t = 1 (distance 1).
         assert_eq!(res.commits[&TxnId(0)], 1);
     }
@@ -299,23 +276,23 @@ mod tests {
     #[test]
     fn heavy_txn_lands_in_higher_bucket() {
         let net = topology::line(32);
-        let stats = Arc::new(Mutex::new(BucketStats::default()));
+        let trace = decision_trace();
         // Object at the far end: F = 31 -> level 5 (2^5 = 32).
         let inst = Instance::new(vec![obj(0, 0)], vec![txn(0, 31, &[0], 0)]);
         let res = run_policy(
             &net,
             TraceSource::new(inst),
-            BucketPolicy::new(ListScheduler::fifo()).with_stats(Arc::clone(&stats)),
+            BucketPolicy::new(ListScheduler::fifo()).with_decision_trace(Arc::clone(&trace)),
             EngineConfig::default(),
         );
         res.expect_ok();
-        assert_eq!(stats.lock().levels[&TxnId(0)], 5);
+        assert_eq!(insertions(&trace.lock()), vec![(TxnId(0), 0, 5, false)]);
     }
 
     #[test]
     fn lemma3_level_bound_holds() {
         let net = topology::line(16);
-        let stats = Arc::new(Mutex::new(BucketStats::default()));
+        let trace = decision_trace();
         let spec = WorkloadSpec {
             num_objects: 4,
             k: 2,
@@ -329,15 +306,16 @@ mod tests {
         let res = run_policy(
             &net,
             TraceSource::new(inst),
-            BucketPolicy::new(LineScheduler).with_stats(Arc::clone(&stats)),
+            BucketPolicy::new(LineScheduler).with_decision_trace(Arc::clone(&trace)),
             EngineConfig::default(),
         );
         res.expect_ok();
         validate_events(&net, &res, &ValidationConfig::default()).unwrap();
-        let s = stats.lock();
-        assert_eq!(s.overflows, 0);
         let bound = net.max_bucket_level();
-        for (&id, &lvl) in &s.levels {
+        let inserted = insertions(&trace.lock());
+        assert!(!inserted.is_empty());
+        for (id, _, lvl, overflow) in inserted {
+            assert!(!overflow, "{id} overflowed every probe");
             assert!(lvl <= bound, "{id} at level {lvl} > Lemma 3 bound {bound}");
         }
     }
@@ -347,7 +325,7 @@ mod tests {
         // Every txn inserted into level i at time t commits by
         // t + (i+1) * 2^(i+2).
         let net = topology::line(16);
-        let stats = Arc::new(Mutex::new(BucketStats::default()));
+        let trace = decision_trace();
         let spec = WorkloadSpec {
             num_objects: 4,
             k: 2,
@@ -361,13 +339,11 @@ mod tests {
         let res = run_policy(
             &net,
             TraceSource::new(inst),
-            BucketPolicy::new(LineScheduler).with_stats(Arc::clone(&stats)),
+            BucketPolicy::new(LineScheduler).with_decision_trace(Arc::clone(&trace)),
             EngineConfig::default(),
         );
         res.expect_ok();
-        let s = stats.lock();
-        for (&id, &lvl) in &s.levels {
-            let t = s.inserted_at[&id];
+        for (id, t, lvl, _) in insertions(&trace.lock()) {
             let commit = res.commits[&id];
             let deadline = t + (lvl as u64 + 1) * (1u64 << (lvl + 2));
             assert!(

@@ -103,7 +103,7 @@ impl EntrySlab {
         if self.slots.is_empty() {
             self.base = id.0;
         } else if id.0 < self.base {
-            // Out-of-order low id (map-backed rebuilds): grow the front.
+            // Out-of-order low id: grow the front.
             for _ in id.0..self.base {
                 self.slots.push_front(None);
             }
@@ -175,23 +175,23 @@ pub struct ConflictCache {
 impl ConflictCache {
     /// Bring the cache up to date with `view`. Must be called once per
     /// policy step, *before* any early-return the policy takes
-    /// (otherwise a step's effects are silently dropped). Arena-backed
-    /// views fold the [`dtm_sim::StepEffects`] deltas; map-backed views
-    /// (no effects) fall back to a full rebuild.
+    /// (otherwise a step's effects are silently dropped). The first call
+    /// builds the cache from the live set; later calls fold the
+    /// [`dtm_sim::StepEffects`] deltas.
     // dtm-lint: hot-path
     pub fn refresh(&mut self, view: &SystemView<'_>) {
-        match view.step_effects() {
-            Some(fx) if self.init => {
-                // Removals first: a removed transaction has already left
-                // the requester index, so the arrivals below never see it.
-                for id in fx.removed() {
-                    self.remove(id);
-                }
-                for &id in &fx.arrived {
-                    self.add_arrival(view, id);
-                }
+        if self.init {
+            let fx = view.step_effects();
+            // Removals first: a removed transaction has already left the
+            // requester index, so the arrivals below never see it.
+            for id in fx.removed() {
+                self.remove(id);
             }
-            _ => self.rebuild(view),
+            for &id in &fx.arrived {
+                self.add_arrival(view, id);
+            }
+        } else {
+            self.rebuild(view);
         }
         self.refreshes = self.refreshes.wrapping_add(1);
         #[cfg(debug_assertions)]
@@ -520,46 +520,34 @@ mod tests {
         assert_equiv(&cache, &view, &BTreeMap::new());
     }
 
-    /// Map-backed views carry no effects: every refresh is a rebuild,
-    /// and the cache still answers exactly like the scan path.
+    /// The first refresh on an already-populated arena view builds the
+    /// cache from the live set (no arrivals were recorded), and later
+    /// refreshes fold deltas on top of it.
     #[test]
-    fn map_backed_fallback_rebuilds() {
+    fn first_refresh_on_populated_view_rebuilds() {
         let net = topology::line(8);
-        let mut live = BTreeMap::new();
-        for t in [mk(0, 1, &[0]), mk(1, 6, &[0]), mk(2, 3, &[1])] {
-            live.insert(
-                t.id,
-                LiveTxn {
-                    txn: t,
-                    scheduled: None,
-                },
-            );
-        }
-        let mut objects = BTreeMap::new();
+        let mut state = RuntimeState::new();
         for (o, node) in [(0u32, 0u32), (1, 4)] {
-            objects.insert(
-                ObjectId(o),
-                ObjectState {
-                    info: ObjectInfo {
-                        id: ObjectId(o),
-                        origin: NodeId(node),
-                        created_at: 0,
-                    },
-                    place: ObjectPlace::At(NodeId(node)),
-                    last_holder: None,
-                },
-            );
+            insert_object(&mut state, o, node);
         }
-        let view = SystemView::new(0, &net, &live, &objects);
-        assert!(view.step_effects().is_none());
+        for t in [mk(0, 1, &[0]), mk(1, 6, &[0]), mk(2, 3, &[1])] {
+            state.insert_txn(LiveTxn {
+                txn: t,
+                scheduled: None,
+            });
+        }
+        assert!(state.effects().arrived.is_empty());
+        let view = SystemView::from_state(0, &net, &state);
         let mut cache = ConflictCache::default();
         cache.refresh(&view);
+        assert_eq!(cache.len(), 3);
         assert_eq!(cache.conflict_stats(TxnId(0)), Some((1, 5)));
         assert_equiv(&cache, &view, &BTreeMap::new());
-        // Mutate the maps directly (no effects recorded): the next
-        // refresh still lands on the right answer via rebuild.
-        live.remove(&TxnId(1));
-        let view = SystemView::new(1, &net, &live, &objects);
+        // A commit recorded as an effect is folded, not rebuilt.
+        state.effects_mut().clear();
+        state.remove_txn(TxnId(1));
+        state.effects_mut().committed.push(TxnId(1));
+        let view = SystemView::from_state(1, &net, &state);
         cache.refresh(&view);
         assert_eq!(cache.conflict_stats(TxnId(0)), Some((0, 0)));
         assert_equiv(&cache, &view, &BTreeMap::new());

@@ -106,23 +106,21 @@ pub fn extended_degrees(view: &SystemView<'_>, txn: &Transaction) -> ExtendedDeg
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state_of;
     use dtm_graph::{topology, NodeId};
     use dtm_model::{ObjectId, ObjectInfo};
     use dtm_sim::{LiveTxn, ObjectPlace, ObjectState};
 
-    fn obj_at(id: u32, node: u32) -> (ObjectId, ObjectState) {
-        (
-            ObjectId(id),
-            ObjectState {
-                info: ObjectInfo {
-                    id: ObjectId(id),
-                    origin: NodeId(node),
-                    created_at: 0,
-                },
-                place: ObjectPlace::At(NodeId(node)),
-                last_holder: None,
+    fn obj_at(id: u32, node: u32) -> ObjectState {
+        ObjectState {
+            info: ObjectInfo {
+                id: ObjectId(id),
+                origin: NodeId(node),
+                created_at: 0,
             },
-        )
+            place: ObjectPlace::At(NodeId(node)),
+            last_holder: None,
+        }
     }
 
     fn txn(id: u64, home: u32, objs: &[u32]) -> Transaction {
@@ -137,9 +135,8 @@ mod tests {
     #[test]
     fn object_distance_becomes_holder_constraint() {
         let net = topology::line(8);
-        let live = BTreeMap::new();
-        let objects: BTreeMap<_, _> = [obj_at(0, 1)].into();
-        let view = SystemView::new(5, &net, &live, &objects);
+        let state = state_of([], [obj_at(0, 1)]);
+        let view = SystemView::from_state(5, &net, &state);
         let t = txn(0, 4, &[0]);
         let cs = constraints_for(&view, &t, &BTreeMap::new());
         assert_eq!(cs, vec![ColorConstraint::new(0, 3)]);
@@ -152,9 +149,8 @@ mod tests {
     #[test]
     fn local_object_imposes_nothing() {
         let net = topology::line(8);
-        let live = BTreeMap::new();
-        let objects: BTreeMap<_, _> = [obj_at(0, 4)].into();
-        let view = SystemView::new(0, &net, &live, &objects);
+        let state = state_of([], [obj_at(0, 4)]);
+        let view = SystemView::from_state(0, &net, &state);
         let t = txn(0, 4, &[0]);
         assert!(constraints_for(&view, &t, &BTreeMap::new()).is_empty());
     }
@@ -163,16 +159,12 @@ mod tests {
     fn scheduled_conflict_uses_remaining_time() {
         let net = topology::line(8);
         let other = txn(1, 6, &[0]);
-        let mut live = BTreeMap::new();
-        live.insert(
-            TxnId(1),
-            LiveTxn {
-                txn: other,
-                scheduled: Some(9),
-            },
-        );
-        let objects: BTreeMap<_, _> = [obj_at(0, 6)].into();
-        let view = SystemView::new(4, &net, &live, &objects);
+        let live = LiveTxn {
+            txn: other,
+            scheduled: Some(9),
+        };
+        let state = state_of([live], [obj_at(0, 6)]);
+        let view = SystemView::from_state(4, &net, &state);
         let t = txn(0, 2, &[0]);
         let cs = constraints_for(&view, &t, &BTreeMap::new());
         // Conflict with T1: color 9-4=5, weight d(2,6)=4.
@@ -186,16 +178,12 @@ mod tests {
     fn same_home_conflict_gets_weight_one() {
         let net = topology::line(8);
         let other = txn(1, 2, &[0]);
-        let mut live = BTreeMap::new();
-        live.insert(
-            TxnId(1),
-            LiveTxn {
-                txn: other,
-                scheduled: Some(0),
-            },
-        );
-        let objects: BTreeMap<_, _> = [obj_at(0, 2)].into();
-        let view = SystemView::new(0, &net, &live, &objects);
+        let live = LiveTxn {
+            txn: other,
+            scheduled: Some(0),
+        };
+        let state = state_of([live], [obj_at(0, 2)]);
+        let view = SystemView::from_state(0, &net, &state);
         let t = txn(0, 2, &[0]);
         let cs = constraints_for(&view, &t, &BTreeMap::new());
         assert_eq!(cs, vec![ColorConstraint::new(0, 1)]);
@@ -204,25 +192,21 @@ mod tests {
     #[test]
     fn in_transit_object_pays_residual() {
         let net = topology::line(8);
-        let live = BTreeMap::new();
-        let mut objects = BTreeMap::new();
-        objects.insert(
-            ObjectId(0),
-            ObjectState {
-                info: ObjectInfo {
-                    id: ObjectId(0),
-                    origin: NodeId(0),
-                    created_at: 0,
-                },
-                place: ObjectPlace::Hop {
-                    from: NodeId(2),
-                    next: NodeId(3),
-                    arrive: 12,
-                },
-                last_holder: None,
+        let object = ObjectState {
+            info: ObjectInfo {
+                id: ObjectId(0),
+                origin: NodeId(0),
+                created_at: 0,
             },
-        );
-        let view = SystemView::new(10, &net, &live, &objects);
+            place: ObjectPlace::Hop {
+                from: NodeId(2),
+                next: NodeId(3),
+                arrive: 12,
+            },
+            last_holder: None,
+        };
+        let state = state_of([], [object]);
+        let view = SystemView::from_state(10, &net, &state);
         let t = txn(0, 6, &[0]);
         let cs = constraints_for(&view, &t, &BTreeMap::new());
         // Residual 2 + distance(3, 6) = 3 -> weight 5.
@@ -233,16 +217,12 @@ mod tests {
     fn extra_colored_same_step_counts() {
         let net = topology::line(8);
         let other = txn(1, 5, &[0]);
-        let mut live = BTreeMap::new();
-        live.insert(
-            TxnId(1),
-            LiveTxn {
-                txn: other,
-                scheduled: None,
-            },
-        );
-        let objects: BTreeMap<_, _> = [obj_at(0, 5)].into();
-        let view = SystemView::new(0, &net, &live, &objects);
+        let live = LiveTxn {
+            txn: other,
+            scheduled: None,
+        };
+        let state = state_of([live], [obj_at(0, 5)]);
+        let view = SystemView::from_state(0, &net, &state);
         let t = txn(0, 2, &[0]);
         // Without the extra coloring T1 imposes nothing...
         assert_eq!(constraints_for(&view, &t, &BTreeMap::new()).len(), 1);
@@ -256,16 +236,12 @@ mod tests {
     fn non_conflicting_txns_ignored() {
         let net = topology::line(8);
         let other = txn(1, 5, &[1]);
-        let mut live = BTreeMap::new();
-        live.insert(
-            TxnId(1),
-            LiveTxn {
-                txn: other,
-                scheduled: Some(3),
-            },
-        );
-        let objects: BTreeMap<_, _> = [obj_at(0, 2), obj_at(1, 5)].into();
-        let view = SystemView::new(0, &net, &live, &objects);
+        let live = LiveTxn {
+            txn: other,
+            scheduled: Some(3),
+        };
+        let state = state_of([live], [obj_at(0, 2), obj_at(1, 5)]);
+        let view = SystemView::from_state(0, &net, &state);
         let t = txn(0, 2, &[0]);
         assert!(constraints_for(&view, &t, &BTreeMap::new()).is_empty());
         assert_eq!(extended_degrees(&view, &t).degree, 0);

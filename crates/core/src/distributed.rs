@@ -34,26 +34,8 @@ use dtm_model::{Schedule, Time, Transaction, TxnId};
 use dtm_offline::BatchScheduler;
 use dtm_sim::{EngineConfig, SchedulingPolicy, SystemView};
 use dtm_telemetry::{Decision, DecisionKind, DecisionTraceHandle};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Observability for experiment E11.
-#[derive(Clone, Debug, Default)]
-pub struct DistStats {
-    /// Total protocol messages (discovery round trips, conflict reports,
-    /// leader reports, schedule notifications).
-    pub messages: u64,
-    /// Reports per cover layer.
-    // dtm-lint: bounded -- keyed by cover layer; the sparse cover has O(log n) layers
-    pub reports_per_layer: BTreeMap<u32, u64>,
-    /// Partial-bucket level per transaction.
-    // dtm-lint: bounded -- experiment-scoped stats (Retention::Full runs); streaming runs leave stats detached
-    pub levels: BTreeMap<TxnId, u32>,
-    /// Per-transaction protocol latency (arrival to report arrival).
-    // dtm-lint: bounded -- experiment-scoped stats (Retention::Full runs); streaming runs leave stats detached
-    pub report_latency: Vec<Time>,
-}
 
 /// A transaction in flight between arrival and its report reaching the
 /// cluster leader.
@@ -71,7 +53,7 @@ struct PendingReport {
 ///
 /// `Clone` (for [`dtm_sim::SchedulingPolicy::fork`] checkpoints)
 /// captures the in-flight reports, partial buckets and caches; attached
-/// stats/decision/counter handles are shared, not duplicated.
+/// decision-trace and message-counter handles are shared, not duplicated.
 ///
 /// **Boundedness (open-system audit).** `reporting` entries are removed
 /// when their arrival step is processed and `partials` drain at each
@@ -98,7 +80,6 @@ pub struct DistributedBucketPolicy<A> {
     /// *carried in the report* (stale by the protocol latency) instead of
     /// fresh global state — stricter locality of knowledge (ablation A5).
     stale_knowledge: bool,
-    stats: Option<Arc<Mutex<DistStats>>>,
     decisions: Option<DecisionTraceHandle>,
     /// Live protocol-message counter (telemetry registry handle).
     msg_counter: Option<Arc<dtm_telemetry::Counter>>,
@@ -132,7 +113,6 @@ impl<A: BatchScheduler> DistributedBucketPolicy<A> {
             reporting: BTreeMap::new(),
             partials: BTreeMap::new(),
             stale_knowledge: false,
-            stats: None,
             decisions: None,
             msg_counter: None,
             cache: FixedCache::default(),
@@ -164,12 +144,6 @@ impl<A: BatchScheduler> DistributedBucketPolicy<A> {
         self
     }
 
-    /// Attach a stats handle.
-    pub fn with_stats(mut self, stats: Arc<Mutex<DistStats>>) -> Self {
-        self.stats = Some(stats);
-        self
-    }
-
     /// Ablation knob (experiment A3): drop the half-speed rule — objects
     /// move at full speed and scheduling math uses true distances. The
     /// paper's `3d` discovery-catch-up guarantee no longer holds in a real
@@ -195,9 +169,6 @@ impl<A: BatchScheduler> DistributedBucketPolicy<A> {
     }
 
     fn bump_messages(&self, by: u64) {
-        if let Some(stats) = &self.stats {
-            stats.lock().messages += by;
-        }
         if let Some(c) = &self.msg_counter {
             c.add(by);
         }
@@ -245,11 +216,6 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
             // Messages: discovery round trip per object, one conflict
             // notice per conflicting txn, one report.
             self.bump_messages(2 * txn.k() as u64 + n_conflicts as u64 + 1);
-            if let Some(stats) = &self.stats {
-                let mut s = stats.lock();
-                *s.reports_per_layer.entry(layer).or_insert(0) += 1;
-                s.report_latency.push(t_report - now);
-            }
             if let Some(trace) = &self.decisions {
                 trace.lock().push(Decision {
                     t: now,
@@ -319,9 +285,6 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedBucketPolicy<A> {
                     max_level,
                     report.txn,
                 );
-                if let Some(stats) = &self.stats {
-                    stats.lock().levels.insert(id, level);
-                }
                 if let Some(trace) = &self.decisions {
                     trace.lock().push(Decision {
                         t: now,
@@ -451,9 +414,11 @@ mod tests {
         };
         let inst = WorkloadGenerator::new(spec, 5).generate(&net);
         let n = inst.num_txns();
-        let stats = Arc::new(Mutex::new(DistStats::default()));
+        let trace = dtm_telemetry::decision_trace();
+        let messages = Arc::new(dtm_telemetry::Counter::default());
         let policy = DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 2)
-            .with_stats(Arc::clone(&stats));
+            .with_decision_trace(Arc::clone(&trace))
+            .with_message_counter(Arc::clone(&messages));
         let res = run_policy(
             &net,
             TraceSource::new(inst),
@@ -463,10 +428,15 @@ mod tests {
         res.expect_ok();
         validate_events(&net, &res, &dist_validation()).unwrap();
         assert_eq!(res.metrics.committed, n);
-        let s = stats.lock();
         if n > 0 {
-            assert!(s.messages > 0, "protocol must exchange messages");
-            assert_eq!(s.levels.len(), n);
+            assert!(messages.get() > 0, "protocol must exchange messages");
+            let inserts = trace
+                .lock()
+                .decisions
+                .iter()
+                .filter(|d| matches!(d.kind, DecisionKind::DistInsert { .. }))
+                .count();
+            assert_eq!(inserts, n);
         }
     }
 
@@ -510,9 +480,9 @@ mod tests {
                 Transaction::new(TxnId(1), NodeId(17), [ObjectId(1)], 0), // near: y small
             ],
         );
-        let stats = Arc::new(Mutex::new(DistStats::default()));
+        let trace = dtm_telemetry::decision_trace();
         let policy = DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 4)
-            .with_stats(Arc::clone(&stats));
+            .with_decision_trace(Arc::clone(&trace));
         let res = run_policy(
             &net,
             TraceSource::new(inst),
@@ -520,8 +490,15 @@ mod tests {
             DistributedBucketPolicy::<ListScheduler>::engine_config(),
         );
         res.expect_ok();
-        let s = stats.lock();
-        let layers: Vec<u32> = s.reports_per_layer.keys().copied().collect();
+        let layers: std::collections::BTreeSet<u32> = trace
+            .lock()
+            .decisions
+            .iter()
+            .filter_map(|d| match d.kind {
+                DecisionKind::DistReport { layer, .. } => Some(layer),
+                _ => None,
+            })
+            .collect();
         assert!(layers.len() >= 2, "far and near txns use different layers");
         assert!(*layers.last().unwrap() >= 5); // 2^5 - 1 = 31 covers y=31
     }

@@ -28,27 +28,9 @@ use dtm_graph::{ClusterId, Network, NodeId, SparseCover, Weight};
 use dtm_model::{ObjectId, Schedule, Time, Transaction, TxnId};
 use dtm_offline::{BatchContext, BatchScheduler};
 use dtm_sim::{EngineConfig, SchedulingPolicy, SystemView};
-use parking_lot::Mutex;
+use dtm_telemetry::{Decision, DecisionKind, DecisionTraceHandle};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Observability for the message-level protocol.
-#[derive(Clone, Debug, Default)]
-pub struct MsgStats {
-    /// Total messages sent (finds, forwards, replies, reports, notifies).
-    pub messages: u64,
-    /// Extra hops spent chasing moving objects.
-    pub chase_forwards: u64,
-    /// Reports per cover layer.
-    // dtm-lint: bounded -- keyed by cover layer; the sparse cover has O(log n) layers
-    pub reports_per_layer: BTreeMap<u32, u64>,
-    /// Partial-bucket level per transaction.
-    // dtm-lint: bounded -- experiment-scoped stats (Retention::Full runs); streaming runs leave stats detached
-    pub levels: BTreeMap<TxnId, u32>,
-    /// Per-transaction discovery latency (arrival to report arrival).
-    // dtm-lint: bounded -- experiment-scoped stats (Retention::Full runs); streaming runs leave stats detached
-    pub report_latency: Vec<Time>,
-}
 
 /// In-flight protocol messages.
 #[derive(Clone, Debug)]
@@ -121,7 +103,7 @@ pub struct DistributedMsgPolicy<A> {
     /// Each leader's own past scheduling decisions (local knowledge).
     // dtm-lint: bounded -- retained entries filtered to live transactions at the top of step()
     leader_fixed: BTreeMap<ClusterId, Vec<(Transaction, Time)>>,
-    stats: Option<Arc<Mutex<MsgStats>>>,
+    decisions: Option<DecisionTraceHandle>,
     /// Live protocol-message counter (telemetry registry handle).
     msg_counter: Option<Arc<dtm_telemetry::Counter>>,
 }
@@ -149,14 +131,17 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
             object_users: BTreeMap::new(),
             partials: BTreeMap::new(),
             leader_fixed: BTreeMap::new(),
-            stats: None,
+            decisions: None,
             msg_counter: None,
         }
     }
 
-    /// Attach a stats handle.
-    pub fn with_stats(mut self, stats: Arc<Mutex<MsgStats>>) -> Self {
-        self.stats = Some(stats);
+    /// Record the protocol's per-transaction decisions
+    /// ([`DecisionKind::DistChase`], [`DecisionKind::DistReport`],
+    /// [`DecisionKind::DistInsert`], [`DecisionKind::DistActivate`]) into
+    /// `trace` (the caller keeps the other `Arc` end).
+    pub fn with_decision_trace(mut self, trace: DecisionTraceHandle) -> Self {
+        self.decisions = Some(trace);
         self
     }
 
@@ -178,14 +163,18 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
         }
     }
 
-    fn bump(&self, f: impl FnOnce(&mut MsgStats)) {
-        if let Some(stats) = &self.stats {
-            f(&mut stats.lock());
+    fn record(&self, t: Time, txn: TxnId, exec_at: Option<Time>, kind: DecisionKind) {
+        if let Some(trace) = &self.decisions {
+            trace.lock().push(Decision {
+                t,
+                txn,
+                exec_at,
+                kind,
+            });
         }
     }
 
     fn send(&mut self, at: Time, msg: Msg) {
-        self.bump(|s| s.messages += 1);
         if let Some(c) = &self.msg_counter {
             c.inc();
         }
@@ -240,8 +229,8 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
                 // from", §V). Pointers record the *last* departure, so the
                 // chase follows a time-monotone subsequence of the
                 // object's path and converges.
+                self.record(now, txn, None, DecisionKind::DistChase { object });
                 if let Some(next) = view.forwarded_to(object, target) {
-                    self.bump(|s| s.chase_forwards += 1);
                     let dist = view.network.distance(target, next).max(1);
                     self.send(
                         now + dist,
@@ -256,7 +245,6 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
                     // No pointer: the object has never departed from this
                     // node — it is inbound (or not yet created). Wait a
                     // step and retry here.
-                    self.bump(|s| s.chase_forwards += 1);
                     self.send(
                         now + 1,
                         Msg::Find {
@@ -316,12 +304,18 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
         let cluster = self.cover.home_cluster(home, layer);
         let leader = cluster.leader;
         let dist = view.network.distance(home, leader);
-        self.bump(|s| {
-            *s.reports_per_layer.entry(layer).or_insert(0) += 1;
-            s.report_latency.push(now + dist - d.started_at);
-        });
         let cluster_id = cluster.id;
         let txn_id = d.txn.id;
+        self.record(
+            now,
+            txn_id,
+            None,
+            DecisionKind::DistReport {
+                layer,
+                cluster: cluster_id.0 as u64,
+                report_latency: now + dist - d.started_at,
+            },
+        );
         self.send(
             now + dist,
             Msg::Report {
@@ -376,9 +370,15 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
             }
         }
         let level = chosen.unwrap_or(max_level);
-        self.bump(|s| {
-            s.levels.insert(txn.id, level);
-        });
+        self.record(
+            now,
+            txn.id,
+            None,
+            DecisionKind::DistInsert {
+                level,
+                cluster: cluster.0 as u64,
+            },
+        );
         self.partials
             .entry((level, cluster))
             .or_default()
@@ -475,7 +475,6 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedMsgPolicy<A> {
                 .map(|(t, _)| view.network.distance(leader, t.home))
                 .max()
                 .unwrap_or(0);
-            self.bump(|s| s.messages += members.len() as u64);
             if let Some(c) = &self.msg_counter {
                 c.add(members.len() as u64);
             }
@@ -492,6 +491,18 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedMsgPolicy<A> {
             }
             let bucket: Vec<Transaction> = members.iter().map(|(t, _)| t.clone()).collect();
             let s = self.scheduler.schedule(&self.doubled, &bucket, &ctx);
+            for t in &bucket {
+                self.record(
+                    now,
+                    t.id,
+                    s.get(t.id),
+                    DecisionKind::DistActivate {
+                        level: key.0,
+                        cluster: key.1 .0 as u64,
+                        notify,
+                    },
+                );
+            }
             let fixed = self.leader_fixed.entry(key.1).or_default();
             for t in &bucket {
                 fixed.push((t.clone(), s.get(t.id).expect("scheduled"))); // dtm-lint: allow(C1) -- BatchScheduler contract: schedule() assigns every pending transaction
@@ -573,24 +584,34 @@ mod tests {
     #[test]
     fn closed_loop_star_completes_with_message_accounting() {
         let net = topology::star(3, 3);
-        let stats = Arc::new(Mutex::new(MsgStats::default()));
+        let trace = dtm_telemetry::decision_trace();
+        let messages = Arc::new(dtm_telemetry::Counter::default());
         let src = ClosedLoopSource::new(net.clone(), WorkloadSpec::batch_uniform(4, 2), 2, 9);
         let expected = src.total_txns();
         let res = run_policy(
             &net,
             src,
             DistributedMsgPolicy::new(&net, ListScheduler::fifo(), 4)
-                .with_stats(Arc::clone(&stats)),
+                .with_decision_trace(Arc::clone(&trace))
+                .with_message_counter(Arc::clone(&messages)),
             cfg(),
         );
         res.expect_ok();
         validate_events(&net, &res, &vcfg()).unwrap();
         assert_eq!(res.metrics.committed, expected);
-        let s = stats.lock();
-        assert_eq!(s.levels.len(), expected);
+        let trace = trace.lock();
+        let count = |tag: &str| {
+            trace
+                .decisions
+                .iter()
+                .filter(|d| d.kind.tag() == tag)
+                .count()
+        };
+        assert_eq!(count("dist-insert"), expected);
+        assert_eq!(count("dist-report"), expected);
+        assert_eq!(count("dist-activate"), expected);
         // Each txn needs >= 2 finds + 2 replies + 1 report = 5 messages.
-        assert!(s.messages >= expected as u64 * 5);
-        assert_eq!(s.report_latency.len(), expected);
+        assert!(messages.get() >= expected as u64 * 5);
     }
 
     #[test]
@@ -598,38 +619,34 @@ mod tests {
         // Unit-level: the Find consults only the current node's
         // forwarding pointer — never the object's global position.
         use dtm_model::ObjectInfo;
-        use dtm_sim::{LiveTxn, ObjectPlace, ObjectState};
+        use dtm_sim::{ObjectPlace, ObjectState};
         let net = topology::line(12);
-        let mut policy = DistributedMsgPolicy::new(&net, ListScheduler::fifo(), 1);
+        let trace = dtm_telemetry::decision_trace();
+        let mut policy = DistributedMsgPolicy::new(&net, ListScheduler::fifo(), 1)
+            .with_decision_trace(Arc::clone(&trace));
         policy.max_level = Some(net.max_bucket_level());
-        let stats = Arc::new(Mutex::new(MsgStats::default()));
-        policy.stats = Some(Arc::clone(&stats));
 
-        let live: BTreeMap<TxnId, LiveTxn> = BTreeMap::new();
-        let mut objects = BTreeMap::new();
-        objects.insert(
-            ObjectId(0),
-            ObjectState {
-                info: ObjectInfo {
-                    id: ObjectId(0),
-                    origin: NodeId(0),
-                    created_at: 0,
-                },
-                // In flight n4 -> n5, arriving at t=12.
-                place: ObjectPlace::Hop {
-                    from: NodeId(4),
-                    next: NodeId(5),
-                    arrive: 12,
-                },
-                last_holder: None,
+        let object = ObjectState {
+            info: ObjectInfo {
+                id: ObjectId(0),
+                origin: NodeId(0),
+                created_at: 0,
             },
-        );
+            // In flight n4 -> n5, arriving at t=12.
+            place: ObjectPlace::Hop {
+                from: NodeId(4),
+                next: NodeId(5),
+                arrive: 12,
+            },
+            last_holder: None,
+        };
+        let state = crate::state_of([], [object.clone()]);
         // The object's trail so far: 0 -> 4 (shortcut recorded by the
         // engine as last departures), 4 -> 5.
         let mut fwd = dtm_sim::ForwardingTable::new(net.n());
         fwd.insert(ObjectId(0), NodeId(0), NodeId(4));
         fwd.insert(ObjectId(0), NodeId(4), NodeId(5));
-        let view = SystemView::new(10, &net, &live, &objects).with_forwarding(&fwd);
+        let view = SystemView::from_state(10, &net, &state).with_forwarding(&fwd);
         policy.deliver(
             &view,
             Msg::Find {
@@ -640,7 +657,19 @@ mod tests {
             },
         );
         // Followed the pointer at n0 toward n4: arrives t = 10 + 4.
-        assert_eq!(stats.lock().chase_forwards, 1);
+        let chases = |trace: &dtm_telemetry::DecisionTrace| {
+            trace
+                .decisions
+                .iter()
+                .filter(|d| {
+                    d.kind
+                        == DecisionKind::DistChase {
+                            object: ObjectId(0),
+                        }
+                })
+                .count()
+        };
+        assert_eq!(chases(&trace.lock()), 1);
         let queued = policy.inbox.remove(&14).expect("forwarded find queued");
         assert!(matches!(
             queued[0],
@@ -650,7 +679,7 @@ mod tests {
             }
         ));
         // At n4 (t=14): object still not resting there; pointer says n5.
-        let view = SystemView::new(14, &net, &live, &objects).with_forwarding(&fwd);
+        let view = SystemView::from_state(14, &net, &state).with_forwarding(&fwd);
         policy.deliver(&view, queued.into_iter().next().unwrap());
         let queued = policy.inbox.remove(&15).expect("next leg queued");
         assert!(matches!(
@@ -662,10 +691,16 @@ mod tests {
         ));
         // At n5 the object now rests: caught, registered, reply queued for
         // t = 15 + dist(5, 0) = 20.
-        let mut objects2 = objects.clone();
-        objects2.get_mut(&ObjectId(0)).unwrap().place = ObjectPlace::At(NodeId(5));
-        let view2 = SystemView::new(15, &net, &live, &objects2).with_forwarding(&fwd);
-        policy.deliver(&view2, queued.into_iter().next().unwrap());
+        let state = crate::state_of(
+            [],
+            [ObjectState {
+                place: ObjectPlace::At(NodeId(5)),
+                ..object
+            }],
+        );
+        let view = SystemView::from_state(15, &net, &state).with_forwarding(&fwd);
+        policy.deliver(&view, queued.into_iter().next().unwrap());
+        assert_eq!(chases(&trace.lock()), 2, "the catch is not a chase");
         assert_eq!(
             policy.object_users[&ObjectId(0)],
             vec![(TxnId(7), NodeId(0))]
@@ -678,15 +713,13 @@ mod tests {
         // No pointer at the node and the object not resting there: the
         // message waits a step (the object is on its way in).
         use dtm_model::ObjectInfo;
-        use dtm_sim::{LiveTxn, ObjectPlace, ObjectState};
+        use dtm_sim::{ObjectPlace, ObjectState};
         let net = topology::line(6);
         let mut policy = DistributedMsgPolicy::new(&net, ListScheduler::fifo(), 1);
         policy.max_level = Some(net.max_bucket_level());
-        let live: BTreeMap<TxnId, LiveTxn> = BTreeMap::new();
-        let mut objects = BTreeMap::new();
-        objects.insert(
-            ObjectId(0),
-            ObjectState {
+        let state = crate::state_of(
+            [],
+            [ObjectState {
                 info: ObjectInfo {
                     id: ObjectId(0),
                     origin: NodeId(2),
@@ -698,10 +731,10 @@ mod tests {
                     arrive: 9,
                 },
                 last_holder: None,
-            },
+            }],
         );
         let fwd = dtm_sim::ForwardingTable::new(net.n());
-        let view = SystemView::new(8, &net, &live, &objects).with_forwarding(&fwd);
+        let view = SystemView::from_state(8, &net, &state).with_forwarding(&fwd);
         policy.deliver(
             &view,
             Msg::Find {

@@ -17,9 +17,7 @@ use dtm_graph::Weight;
 use dtm_model::{Schedule, Time, TxnId};
 use dtm_sim::{SchedulingPolicy, SystemView};
 use dtm_telemetry::{Decision, DecisionKind, DecisionTraceHandle};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Coloring mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,15 +32,6 @@ pub enum GreedyMode {
         /// The uniform edge weight.
         beta: Weight,
     },
-}
-
-/// Per-transaction record of the assigned color and its theorem bound,
-/// collected when a stats handle is attached.
-#[derive(Clone, Debug, Default)]
-pub struct GreedyStats {
-    /// `(txn, color, theorem bound on the color)` per scheduled txn.
-    // dtm-lint: bounded -- experiment-scoped stats (Retention::Full runs); streaming runs leave stats detached
-    pub assigned: Vec<(TxnId, Time, Time)>,
 }
 
 /// Reusable buffers for the coloring pass, so warmed-up schedule phases
@@ -70,7 +59,7 @@ struct GreedyScratch {
 /// Algorithm 1.
 ///
 /// `Clone` (for [`dtm_sim::SchedulingPolicy::fork`] checkpoints) shares
-/// any attached stats/decision handles — a fork feeds the same sinks —
+/// an attached decision-trace handle — a fork feeds the same trace —
 /// and deep-copies the incremental conflict cache, which from then on
 /// follows the fork's own view.
 ///
@@ -82,7 +71,6 @@ pub struct GreedyPolicy {
     mode: GreedyMode,
     cache: ConflictCache,
     scratch: GreedyScratch,
-    stats: Option<Arc<Mutex<GreedyStats>>>,
     decisions: Option<DecisionTraceHandle>,
 }
 
@@ -93,7 +81,6 @@ impl GreedyPolicy {
             mode: GreedyMode::General,
             cache: ConflictCache::default(),
             scratch: GreedyScratch::default(),
-            stats: None,
             decisions: None,
         }
     }
@@ -108,15 +95,8 @@ impl GreedyPolicy {
             mode: GreedyMode::Uniform { beta },
             cache: ConflictCache::default(),
             scratch: GreedyScratch::default(),
-            stats: None,
             decisions: None,
         }
-    }
-
-    /// Attach a stats handle (the caller keeps the other `Arc` end).
-    pub fn with_stats(mut self, stats: Arc<Mutex<GreedyStats>>) -> Self {
-        self.stats = Some(stats);
-        self
     }
 
     /// Record one [`DecisionKind::GreedyColor`] per scheduled transaction
@@ -199,9 +179,6 @@ impl SchedulingPolicy for GreedyPolicy {
             };
             colored.insert(id, color);
             fragment.set(id, view.now + color);
-            if let Some(stats) = &self.stats {
-                stats.lock().assigned.push((id, color, bound));
-            }
             if let Some(trace) = &self.decisions {
                 trace.lock().push(Decision {
                     t: view.now,
@@ -236,6 +213,8 @@ mod tests {
         WorkloadGenerator, WorkloadSpec,
     };
     use dtm_sim::{run_policy, validate_events, EngineConfig, ValidationConfig};
+    use dtm_telemetry::decision_trace;
+    use std::sync::Arc;
 
     fn obj(id: u32, origin: u32) -> ObjectInfo {
         ObjectInfo {
@@ -289,7 +268,7 @@ mod tests {
 
     #[test]
     fn theorem1_bound_holds_on_random_workloads() {
-        let stats = Arc::new(Mutex::new(GreedyStats::default()));
+        let trace = decision_trace();
         for seed in 0..5 {
             let net = topology::grid(&[4, 4]);
             let spec = WorkloadSpec {
@@ -308,18 +287,22 @@ mod tests {
             let res = run_policy(
                 &net,
                 TraceSource::new(inst),
-                GreedyPolicy::new().with_stats(Arc::clone(&stats)),
+                GreedyPolicy::new().with_decision_trace(Arc::clone(&trace)),
                 EngineConfig::default(),
             );
             res.expect_ok();
             validate_events(&net, &res, &ValidationConfig::default()).unwrap();
         }
-        let stats = stats.lock();
-        assert!(!stats.assigned.is_empty());
-        for &(id, color, bound) in &stats.assigned {
+        let trace = trace.lock();
+        assert!(!trace.is_empty());
+        for d in &trace.decisions {
+            let DecisionKind::GreedyColor { color, bound, .. } = d.kind else {
+                panic!("unexpected decision {:?}", d.kind);
+            };
             assert!(
                 color <= bound,
-                "{id}: color {color} > theorem bound {bound}"
+                "{}: color {color} > theorem bound {bound}",
+                d.txn
             );
         }
     }
@@ -327,18 +310,21 @@ mod tests {
     #[test]
     fn uniform_mode_colors_are_multiples() {
         let net = topology::clique(8);
-        let stats = Arc::new(Mutex::new(GreedyStats::default()));
+        let trace = decision_trace();
         let spec = WorkloadSpec::batch_uniform(4, 2);
         let inst = WorkloadGenerator::new(spec, 3).generate(&net);
         let res = run_policy(
             &net,
             TraceSource::new(inst),
-            GreedyPolicy::uniform(1).with_stats(Arc::clone(&stats)),
+            GreedyPolicy::uniform(1).with_decision_trace(Arc::clone(&trace)),
             EngineConfig::default(),
         );
         res.expect_ok();
         validate_events(&net, &res, &ValidationConfig::default()).unwrap();
-        for &(_, color, bound) in &stats.lock().assigned {
+        for d in &trace.lock().decisions {
+            let DecisionKind::GreedyColor { color, bound, .. } = d.kind else {
+                panic!("unexpected decision {:?}", d.kind);
+            };
             assert!(color >= 1);
             assert!(color <= bound);
         }

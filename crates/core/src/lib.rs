@@ -82,7 +82,7 @@ pub mod greedy;
 pub mod viewctx;
 
 pub use adaptive::{AutoPolicy, RandomizedBackoffPolicy};
-pub use bucket::{BucketPolicy, BucketStats};
+pub use bucket::BucketPolicy;
 pub use centralized::CentralizedWrapper;
 pub use coloring::{
     smallest_valid_color, smallest_valid_color_into, smallest_valid_color_uniform,
@@ -90,8 +90,25 @@ pub use coloring::{
 };
 pub use conflict::ConflictCache;
 pub use dependency::{constraints_for, extended_degrees, ExtendedDegrees};
-pub use distributed::{DistStats, DistributedBucketPolicy};
-pub use distributed_msg::{DistributedMsgPolicy, MsgStats};
+pub use distributed::DistributedBucketPolicy;
+pub use distributed_msg::DistributedMsgPolicy;
 pub use fifo::{FifoPolicy, TspPolicy};
-pub use greedy::{GreedyMode, GreedyPolicy, GreedyStats};
+pub use greedy::{GreedyMode, GreedyPolicy};
 pub use viewctx::{batch_context_from_view, FixedCache, StepContext};
+
+/// Test fixture: a [`dtm_sim::RuntimeState`] holding `objects` and the
+/// live transactions `txns`, with no step effects recorded.
+#[cfg(test)]
+pub(crate) fn state_of(
+    txns: impl IntoIterator<Item = dtm_sim::LiveTxn>,
+    objects: impl IntoIterator<Item = dtm_sim::ObjectState>,
+) -> dtm_sim::RuntimeState {
+    let mut state = dtm_sim::RuntimeState::new();
+    for st in objects {
+        state.insert_object(st);
+    }
+    for lt in txns {
+        state.insert_txn(lt);
+    }
+    state
+}

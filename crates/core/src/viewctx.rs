@@ -33,12 +33,10 @@ fn object_avail(view: &SystemView<'_>) -> BTreeMap<dtm_model::ObjectId, (dtm_gra
 /// must work around (basic modification 1 of Section IV-A), plus the
 /// object positions of the current step.
 ///
-/// The cache owns one [`BatchContext`] for the whole run. When the view
-/// is arena-backed, [`FixedCache::refresh`] folds the
+/// The cache owns one [`BatchContext`] for the whole run. The first
+/// [`FixedCache::refresh`] scans the live set; every later one folds the
 /// [`dtm_sim::StepEffects`] accumulated since the previous policy call
-/// into its id-sorted fixed set instead of rescanning the whole live
-/// set; with a map-backed view (no effects) it falls back to a full
-/// rebuild, so the cache is safe to use with either backing.
+/// into the id-sorted fixed set instead of rescanning.
 /// [`FixedCache::context`] lends the context out for one step with the
 /// object positions re-projected in place. `Clone` captures the cache
 /// for [`dtm_sim::SchedulingPolicy::fork`] checkpoints.
@@ -72,29 +70,27 @@ impl FixedCache {
         let slot = |fixed: &[(Transaction, Time)], id: TxnId| {
             fixed.binary_search_by_key(&id, |(t, _)| t.id)
         };
-        match view.step_effects() {
-            Some(fx) if self.init => {
-                for &(id, t) in &fx.scheduled {
-                    // Scheduled and committed within the same inter-policy
-                    // window: no longer live, never enters the fixed set.
-                    if let Some(lt) = view.live(id) {
-                        let entry = (lt.txn.clone(), t); // dtm-lint: allow(H1) -- one clone per newly *scheduled* txn (delta-driven), not per step
-                        match slot(fixed, id) {
-                            Ok(i) => fixed[i] = entry,
-                            Err(i) => fixed.insert(i, entry),
-                        }
-                    }
-                }
-                for id in fx.removed() {
-                    if let Ok(i) = slot(fixed, id) {
-                        fixed.remove(i);
+        if self.init {
+            let fx = view.step_effects();
+            for &(id, t) in &fx.scheduled {
+                // Scheduled and committed within the same inter-policy
+                // window: no longer live, never enters the fixed set.
+                if let Some(lt) = view.live(id) {
+                    let entry = (lt.txn.clone(), t); // dtm-lint: allow(H1) -- one clone per newly *scheduled* txn (delta-driven), not per step
+                    match slot(fixed, id) {
+                        Ok(i) => fixed[i] = entry,
+                        Err(i) => fixed.insert(i, entry),
                     }
                 }
             }
-            _ => {
-                *fixed = scheduled_live(view).collect(); // dtm-lint: allow(H1) -- cold fallback for map-backed views and first call only
-                self.init = true;
+            for id in fx.removed() {
+                if let Ok(i) = slot(fixed, id) {
+                    fixed.remove(i);
+                }
             }
+        } else {
+            *fixed = scheduled_live(view).collect(); // dtm-lint: allow(H1) -- cold path: first call only
+            self.init = true;
         }
         self.refreshes = self.refreshes.wrapping_add(1);
         // Sampled rather than every-step: the full rescan is O(live) with
@@ -173,44 +169,35 @@ mod tests {
     use dtm_graph::{topology, NodeId};
     use dtm_model::{ObjectId, ObjectInfo, Transaction, TxnId};
     use dtm_sim::{LiveTxn, ObjectPlace, ObjectState};
-    use std::collections::BTreeMap;
 
     #[test]
     fn snapshot_carries_positions_and_fixed() {
         let net = topology::line(8);
-        let mut live = BTreeMap::new();
-        live.insert(
-            TxnId(0),
+        let live = [
             LiveTxn {
                 txn: Transaction::new(TxnId(0), NodeId(3), [ObjectId(0)], 0),
                 scheduled: Some(9),
             },
-        );
-        live.insert(
-            TxnId(1),
             LiveTxn {
                 txn: Transaction::new(TxnId(1), NodeId(4), [ObjectId(0)], 2),
                 scheduled: None,
             },
-        );
-        let mut objects = BTreeMap::new();
-        objects.insert(
-            ObjectId(0),
-            ObjectState {
-                info: ObjectInfo {
-                    id: ObjectId(0),
-                    origin: NodeId(0),
-                    created_at: 0,
-                },
-                place: ObjectPlace::Hop {
-                    from: NodeId(1),
-                    next: NodeId(2),
-                    arrive: 7,
-                },
-                last_holder: None,
+        ];
+        let object = ObjectState {
+            info: ObjectInfo {
+                id: ObjectId(0),
+                origin: NodeId(0),
+                created_at: 0,
             },
-        );
-        let view = SystemView::new(5, &net, &live, &objects);
+            place: ObjectPlace::Hop {
+                from: NodeId(1),
+                next: NodeId(2),
+                arrive: 7,
+            },
+            last_holder: None,
+        };
+        let state = crate::state_of(live, [object]);
+        let view = SystemView::from_state(5, &net, &state);
         let ctx = batch_context_from_view(&view);
         assert_eq!(ctx.now, 5);
         assert_eq!(ctx.object_avail[&ObjectId(0)], (NodeId(2), 7));

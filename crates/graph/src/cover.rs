@@ -217,8 +217,14 @@ impl SparseCover {
             let radius: Weight = (1u64 << layer_idx) - 1;
             let carve_radius: Weight = 1u64 << (layer_idx + 1);
             scratch.begin_layer();
-            let layer =
-                cover.build_layer(network, layer_idx, radius, carve_radius, &mut rng, &mut scratch);
+            let layer = cover.build_layer(
+                network,
+                layer_idx,
+                radius,
+                carve_radius,
+                &mut rng,
+                &mut scratch,
+            );
             cover.layers.push(layer);
             debug_assert!(cover.layers[layer_idx as usize].home.len() == n);
         }

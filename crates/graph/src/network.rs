@@ -501,7 +501,8 @@ mod tests {
         let n = LAZY_LIMIT + 104;
         let mut b = GraphBuilder::new(n, "longpath");
         for u in 0..(n - 1) as u32 {
-            b.add_edge(NodeId(u), NodeId(u + 1), 1 + u as u64 % 3).unwrap();
+            b.add_edge(NodeId(u), NodeId(u + 1), 1 + u as u64 % 3)
+                .unwrap();
         }
         let net = Network::new(b.build(), None);
         assert!(net.dense().is_none());

@@ -486,7 +486,10 @@ pub fn geometric(n: u32, radius: u32, seed: u64) -> Network {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let side = (isqrt(n as u64).max(1) * radius as u64).max(radius as u64 + 1);
     let cells_per_row = (side / radius as u64 + 1) as usize;
-    let mut g = GraphBuilder::new(n as usize, format!("geometric(n={n},r={radius},seed={seed})"));
+    let mut g = GraphBuilder::new(
+        n as usize,
+        format!("geometric(n={n},r={radius},seed={seed})"),
+    );
     let pos: Vec<(u64, u64)> = (0..n)
         .map(|_| (rng.gen_range(0..side), rng.gen_range(0..side)))
         .collect();
@@ -494,7 +497,9 @@ pub fn geometric(n: u32, radius: u32, seed: u64) -> Network {
     let cell_of = |p: (u64, u64)| -> usize {
         (p.1 / radius as u64) as usize * cells_per_row + (p.0 / radius as u64) as usize
     };
-    let mut cells: Vec<Vec<u32>> = (0..cells_per_row * cells_per_row).map(|_| Vec::new()).collect();
+    let mut cells: Vec<Vec<u32>> = (0..cells_per_row * cells_per_row)
+        .map(|_| Vec::new())
+        .collect();
     for (i, &p) in pos.iter().enumerate() {
         cells[cell_of(p)].push(i as u32);
     }
@@ -552,7 +557,10 @@ pub fn power_law(n: u32, attach: u32, seed: u64) -> Network {
     assert!(n >= 2, "power-law graph needs at least two nodes");
     assert!(attach >= 1, "attach must be positive");
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut g = GraphBuilder::new(n as usize, format!("powerlaw(n={n},m={attach},seed={seed})"));
+    let mut g = GraphBuilder::new(
+        n as usize,
+        format!("powerlaw(n={n},m={attach},seed={seed})"),
+    );
     // Every edge endpoint lands here once; sampling an entry uniformly is
     // degree-proportional sampling.
     let mut endpoints: Vec<u32> = Vec::with_capacity(2 * n as usize * attach as usize);
@@ -729,7 +737,12 @@ mod tests {
         assert_eq!(ea, eb);
         // Preferential attachment produces hubs: the max degree should be
         // far above the mean (~4 for attach=2).
-        let max_deg = a.graph().nodes().map(|v| a.graph().degree(v)).max().unwrap();
+        let max_deg = a
+            .graph()
+            .nodes()
+            .map(|v| a.graph().degree(v))
+            .max()
+            .unwrap();
         assert!(max_deg >= 10, "expected a hub, max degree {max_deg}");
         assert!(a.graph().uniform_weight() == Some(1));
     }

@@ -59,5 +59,5 @@ pub use metrics::{
 };
 pub use observer::{Phase, PhaseProfile, PhaseStats, StepObserver};
 pub use policy::{FixedSchedulePolicy, SchedulingPolicy};
-pub use state::{LiveTxn, LiveTxns, ObjectPlace, ObjectState, Objects, SystemView};
+pub use state::{LiveTxn, ObjectPlace, ObjectState, SystemView};
 pub use validate::{validate_capacity, validate_events, ValidationConfig, ValidationError};

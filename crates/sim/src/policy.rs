@@ -34,9 +34,9 @@ pub trait SchedulingPolicy {
     /// The default is a plain clone, which is correct for every policy
     /// whose state is fully owned (including seeded RNGs — cloning
     /// preserves the stream position). Policies holding shared handles
-    /// (stats sinks, decision traces) clone the handle, so a fork keeps
-    /// feeding the *same* sink; override if a checkpoint should detach
-    /// them.
+    /// (decision traces, message counters) clone the handle, so a fork
+    /// keeps feeding the *same* sink; override if a checkpoint should
+    /// detach them.
     fn fork(&self) -> Self
     where
         Self: Sized + Clone,

@@ -7,7 +7,7 @@ use crate::forwarding::ForwardingTable;
 use dtm_graph::{Network, NodeId, Weight};
 use dtm_model::{ObjectId, ObjectInfo, Time, Transaction, TxnId};
 use serde::{Deserialize, Serialize};
-use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Where an object is right now.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,27 +75,14 @@ pub struct LiveTxn {
     pub scheduled: Option<Time>,
 }
 
-/// Storage the view reads from: either borrowed legacy maps (tests and
-/// external harnesses build these directly) or the engine's indexed
-/// [`RuntimeState`]. Every query dispatches on this and produces
-/// identical results either way — the indexed arm just avoids scans.
-enum Backing<'a> {
-    /// Plain id-keyed maps, queried by scanning.
-    Maps {
-        live: &'a BTreeMap<TxnId, LiveTxn>,
-        objects: &'a BTreeMap<ObjectId, ObjectState>,
-    },
-    /// The engine's arena-backed state with its requester index.
-    Indexed(&'a RuntimeState),
-}
-
-/// Read-only snapshot of the system handed to policies each step.
+/// Read-only snapshot of the system handed to policies each step: the
+/// engine's arena-backed [`RuntimeState`] with its requester index.
 pub struct SystemView<'a> {
     /// Current time step.
     pub now: Time,
     /// The communication network.
     pub network: &'a Network,
-    backing: Backing<'a>,
+    state: &'a RuntimeState,
     /// Node-local forwarding pointers: where each node last sent each
     /// object (the trail that object-tracking messages follow, Section V:
     /// "we can track objects in transit by reaching the node that the
@@ -104,30 +91,12 @@ pub struct SystemView<'a> {
 }
 
 impl<'a> SystemView<'a> {
-    /// Construct a view over plain maps (tests may build one directly).
-    pub fn new(
-        now: Time,
-        network: &'a Network,
-        live: &'a BTreeMap<TxnId, LiveTxn>,
-        objects: &'a BTreeMap<ObjectId, ObjectState>,
-    ) -> Self {
-        SystemView {
-            now,
-            network,
-            backing: Backing::Maps { live, objects },
-            forwarding: None,
-        }
-    }
-
-    /// Construct a view over the engine's indexed [`RuntimeState`]. Index
-    ///-backed queries ([`SystemView::requesters_of`],
-    /// [`SystemView::conflicting_live`]) and [`SystemView::step_effects`]
-    /// are only fast/available through this constructor.
+    /// Construct a view over the engine's indexed [`RuntimeState`].
     pub fn from_state(now: Time, network: &'a Network, state: &'a RuntimeState) -> Self {
         SystemView {
             now,
             network,
-            backing: Backing::Indexed(state),
+            state,
             forwarding: None,
         }
     }
@@ -146,160 +115,62 @@ impl<'a> SystemView<'a> {
     }
 
     /// All live transactions (`T_t` in the paper), in id order.
-    pub fn live_txns(&self) -> LiveTxns<'a> {
-        match &self.backing {
-            Backing::Maps { live, .. } => LiveTxns::Maps(live.values()),
-            Backing::Indexed(state) => LiveTxns::Arena(state.txns().iter()),
-        }
+    pub fn live_txns(&self) -> TxnIter<'a> {
+        self.state.txns().iter()
     }
 
     /// Number of live transactions.
     pub fn live_count(&self) -> usize {
-        match &self.backing {
-            Backing::Maps { live, .. } => live.len(),
-            Backing::Indexed(state) => state.txns().len(),
-        }
+        self.state.txns().len()
     }
 
     /// Look up a live transaction.
     pub fn live(&self, id: TxnId) -> Option<&'a LiveTxn> {
-        match &self.backing {
-            Backing::Maps { live, .. } => live.get(&id),
-            Backing::Indexed(state) => state.txns().get(id),
-        }
+        self.state.txns().get(id)
     }
 
     /// State of an object (if it exists yet).
     pub fn object(&self, id: ObjectId) -> Option<&'a ObjectState> {
-        match &self.backing {
-            Backing::Maps { objects, .. } => objects.get(&id),
-            Backing::Indexed(state) => state.objects().get(id),
-        }
+        self.state.objects().get(id)
     }
 
     /// All objects, in id order.
-    pub fn objects(&self) -> Objects<'a> {
-        match &self.backing {
-            Backing::Maps { objects, .. } => Objects::Maps(objects.values()),
-            Backing::Indexed(state) => Objects::Arena(state.objects().iter()),
-        }
+    pub fn objects(&self) -> ObjectIter<'a> {
+        self.state.objects().iter()
     }
 
-    /// Live transactions requesting `o`, in id order.
-    ///
-    /// With an indexed backing this reads the engine's per-object
-    /// requester index in O(answer); the maps backing scans the live set.
+    /// Live transactions requesting `o`, in id order, read from the
+    /// engine's per-object requester index in O(answer).
     pub fn requesters_of(&self, o: ObjectId) -> Vec<TxnId> {
-        match &self.backing {
-            Backing::Maps { live, .. } => live
-                .values()
-                .filter(|lt| lt.txn.uses(o))
-                .map(|lt| lt.txn.id)
-                .collect(),
-            Backing::Indexed(state) => state.requesters_of(o).collect(),
-        }
+        self.state.requesters_of(o).collect()
     }
 
     /// Visit the live transactions requesting `o` in id order without
     /// allocating — the streaming form of [`SystemView::requesters_of`],
     /// used by incremental caches that fold requester sets every arrival.
-    pub fn for_each_requester(&self, o: ObjectId, mut f: impl FnMut(TxnId)) {
-        match &self.backing {
-            Backing::Maps { live, .. } => {
-                for lt in live.values().filter(|lt| lt.txn.uses(o)) {
-                    f(lt.txn.id);
-                }
-            }
-            Backing::Indexed(state) => {
-                for id in state.requesters_of(o) {
-                    f(id);
-                }
-            }
-        }
+    pub fn for_each_requester(&self, o: ObjectId, f: impl FnMut(TxnId)) {
+        self.state.requesters_of(o).for_each(f);
     }
 
     /// Live transactions conflicting with `txn` (sharing at least one
     /// object, `txn` itself excluded), in id order — the neighbors of
-    /// `txn` among `T_t` in the dependency graph `H'_t`.
-    ///
-    /// With an indexed backing this is the union of the requester sets of
-    /// `txn`'s objects; the maps backing scans the live set. Both arms
-    /// produce the same transactions in the same order
-    /// ([`dtm_model::Transaction::shares_objects`] is exactly object-set
-    /// intersection).
+    /// `txn` among `T_t` in the dependency graph `H'_t`: the union of the
+    /// requester sets of `txn`'s objects.
     pub fn conflicting_live(&self, txn: &Transaction) -> Vec<&'a LiveTxn> {
-        match &self.backing {
-            Backing::Maps { live, .. } => live
-                .values()
-                .filter(|lt| lt.txn.id != txn.id && txn.shares_objects(&lt.txn))
-                .collect(),
-            Backing::Indexed(state) => {
-                let mut ids: BTreeSet<TxnId> = BTreeSet::new();
-                for o in txn.objects() {
-                    ids.extend(state.requesters_of(o));
-                }
-                ids.remove(&txn.id);
-                ids.iter()
-                    .map(|&id| state.txns().get(id).expect("requester index is live")) // dtm-lint: allow(C1) -- requester-index entries are inserted/removed in lockstep with the txn arena
-                    .collect()
-            }
+        let mut ids: BTreeSet<TxnId> = BTreeSet::new();
+        for o in txn.objects() {
+            ids.extend(self.state.requesters_of(o));
         }
+        ids.remove(&txn.id);
+        ids.iter()
+            .map(|&id| self.state.txns().get(id).expect("requester index is live")) // dtm-lint: allow(C1) -- requester-index entries are inserted/removed in lockstep with the txn arena
+            .collect()
     }
 
     /// The [`StepEffects`] accumulated since the previous policy
-    /// invocation, if this view is backed by the engine's indexed state.
-    /// `None` (maps backing) means callers must rebuild their caches.
-    pub fn step_effects(&self) -> Option<&'a StepEffects> {
-        match &self.backing {
-            Backing::Maps { .. } => None,
-            Backing::Indexed(state) => Some(state.effects()),
-        }
-    }
-}
-
-/// Id-ordered iterator over live transactions (see
-/// [`SystemView::live_txns`]).
-pub enum LiveTxns<'a> {
-    /// Scanning a legacy map backing.
-    Maps(btree_map::Values<'a, TxnId, LiveTxn>),
-    /// Walking the arena's live-id set.
-    Arena(TxnIter<'a>),
-}
-
-impl<'a> Iterator for LiveTxns<'a> {
-    type Item = &'a LiveTxn;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            LiveTxns::Maps(it) => it.next(),
-            LiveTxns::Arena(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            LiveTxns::Maps(it) => it.size_hint(),
-            LiveTxns::Arena(it) => it.size_hint(),
-        }
-    }
-}
-
-/// Id-ordered iterator over objects (see [`SystemView::objects`]).
-pub enum Objects<'a> {
-    /// Scanning a legacy map backing.
-    Maps(btree_map::Values<'a, ObjectId, ObjectState>),
-    /// Walking the arena slots.
-    Arena(ObjectIter<'a>),
-}
-
-impl<'a> Iterator for Objects<'a> {
-    type Item = &'a ObjectState;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            Objects::Maps(it) => it.next(),
-            Objects::Arena(it) => it.next(),
-        }
+    /// invocation.
+    pub fn step_effects(&self) -> &'a StepEffects {
+        self.state.effects()
     }
 }
 
@@ -307,6 +178,7 @@ impl<'a> Iterator for Objects<'a> {
 mod tests {
     use super::*;
     use dtm_graph::topology;
+    use proptest::prelude::*;
 
     fn obj(place: ObjectPlace) -> ObjectState {
         ObjectState {
@@ -347,26 +219,17 @@ mod tests {
     #[test]
     fn view_queries() {
         let net = topology::line(4);
-        let t1 = Transaction::new(TxnId(1), NodeId(0), [ObjectId(0)], 0);
-        let t2 = Transaction::new(TxnId(2), NodeId(1), [ObjectId(1)], 0);
-        let mut live = BTreeMap::new();
-        live.insert(
-            TxnId(1),
-            LiveTxn {
-                txn: t1,
-                scheduled: Some(5),
-            },
-        );
-        live.insert(
-            TxnId(2),
-            LiveTxn {
-                txn: t2,
-                scheduled: None,
-            },
-        );
-        let mut objects = BTreeMap::new();
-        objects.insert(ObjectId(0), obj(ObjectPlace::At(NodeId(0))));
-        let view = SystemView::new(3, &net, &live, &objects);
+        let mut state = RuntimeState::new();
+        state.insert_txn(LiveTxn {
+            txn: Transaction::new(TxnId(1), NodeId(0), [ObjectId(0)], 0),
+            scheduled: Some(5),
+        });
+        state.insert_txn(LiveTxn {
+            txn: Transaction::new(TxnId(2), NodeId(1), [ObjectId(1)], 0),
+            scheduled: None,
+        });
+        state.insert_object(obj(ObjectPlace::At(NodeId(0))));
+        let view = SystemView::from_state(3, &net, &state);
         assert_eq!(view.live_count(), 2);
         assert_eq!(view.requesters_of(ObjectId(0)), vec![TxnId(1)]);
         assert!(view.requesters_of(ObjectId(9)).is_empty());
@@ -375,68 +238,71 @@ mod tests {
         assert!(view.object(ObjectId(1)).is_none());
     }
 
-    /// The two backings must answer every query identically: this builds
-    /// the same population both ways and compares all query results.
-    #[test]
-    fn maps_and_indexed_backings_agree() {
-        let net = topology::line(8);
-        let txns = [
-            Transaction::new(TxnId(0), NodeId(0), [ObjectId(0), ObjectId(1)], 0),
-            Transaction::new(TxnId(2), NodeId(3), [ObjectId(1)], 0),
-            Transaction::new(TxnId(5), NodeId(6), [ObjectId(0), ObjectId(2)], 0),
-            Transaction::new(TxnId(7), NodeId(1), [ObjectId(3)], 0),
-        ];
-        let mut live = BTreeMap::new();
-        let mut state = RuntimeState::new();
-        for (i, t) in txns.iter().enumerate() {
-            let lt = LiveTxn {
-                txn: t.clone(),
-                scheduled: (i % 2 == 0).then_some(10 + i as Time),
-            };
-            live.insert(t.id, lt.clone());
-            state.insert_txn(lt);
+    proptest! {
+        /// Under random insert/remove/create churn, every index-backed
+        /// query equals a literal scan of the live arena, and the arenas
+        /// hold exactly what was inserted and not yet removed.
+        #[test]
+        fn indexed_queries_match_scan_under_churn(
+            ops in proptest::collection::vec((0u8..4, 0u64..12, 0u32..6, 0u32..6), 1..60),
+        ) {
+            let net = topology::line(8);
+            let mut state = RuntimeState::new();
+            let mut live_ids: BTreeSet<TxnId> = BTreeSet::new();
+            let mut object_ids: BTreeSet<ObjectId> = BTreeSet::new();
+            for (kind, id, o1, o2) in ops {
+                let id = TxnId(id);
+                match kind {
+                    0 | 1 if !live_ids.contains(&id) => {
+                        let home = NodeId((id.0 % 8) as u32);
+                        let txn = Transaction::new(id, home, [ObjectId(o1), ObjectId(o2)], 0);
+                        state.insert_txn(LiveTxn {
+                            txn,
+                            scheduled: (kind == 1).then_some(id.0),
+                        });
+                        live_ids.insert(id);
+                    }
+                    2 => {
+                        let removed = state.remove_txn(id).map(|lt| lt.txn.id);
+                        prop_assert_eq!(removed, live_ids.take(&id));
+                    }
+                    3 if object_ids.insert(ObjectId(o1)) => {
+                        let mut st = obj(ObjectPlace::At(NodeId(o1)));
+                        st.info.id = ObjectId(o1);
+                        state.insert_object(st);
+                    }
+                    _ => {}
+                }
+                let view = SystemView::from_state(0, &net, &state);
+                let live: Vec<TxnId> = view.live_txns().map(|lt| lt.txn.id).collect();
+                prop_assert_eq!(&live, &live_ids.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(view.live_count(), live_ids.len());
+                let objects: Vec<ObjectId> = view.objects().map(|st| st.info.id).collect();
+                prop_assert_eq!(objects, object_ids.iter().copied().collect::<Vec<_>>());
+                for o in (0..7).map(ObjectId) {
+                    let scan: Vec<TxnId> = state
+                        .txns()
+                        .iter()
+                        .filter(|lt| lt.txn.uses(o))
+                        .map(|lt| lt.txn.id)
+                        .collect();
+                    prop_assert_eq!(&view.requesters_of(o), &scan);
+                    let mut streamed = Vec::new();
+                    view.for_each_requester(o, |r| streamed.push(r));
+                    prop_assert_eq!(&streamed, &scan);
+                }
+                for lt in state.txns().iter() {
+                    let scan: Vec<TxnId> = state
+                        .txns()
+                        .iter()
+                        .filter(|other| other.txn.id != lt.txn.id && lt.txn.shares_objects(&other.txn))
+                        .map(|other| other.txn.id)
+                        .collect();
+                    let indexed: Vec<TxnId> =
+                        view.conflicting_live(&lt.txn).iter().map(|l| l.txn.id).collect();
+                    prop_assert_eq!(indexed, scan);
+                }
+            }
         }
-        let mut objects = BTreeMap::new();
-        for o in 0..4u32 {
-            let st = ObjectState {
-                info: ObjectInfo {
-                    id: ObjectId(o),
-                    origin: NodeId(o),
-                    created_at: 0,
-                },
-                place: ObjectPlace::At(NodeId(o)),
-                last_holder: None,
-            };
-            objects.insert(ObjectId(o), st.clone());
-            state.insert_object(st);
-        }
-        let maps = SystemView::new(4, &net, &live, &objects);
-        let indexed = SystemView::from_state(4, &net, &state);
-
-        assert_eq!(maps.live_count(), indexed.live_count());
-        let ids =
-            |v: &SystemView<'_>| -> Vec<TxnId> { v.live_txns().map(|lt| lt.txn.id).collect() };
-        assert_eq!(ids(&maps), ids(&indexed));
-        let objs =
-            |v: &SystemView<'_>| -> Vec<ObjectId> { v.objects().map(|st| st.info.id).collect() };
-        assert_eq!(objs(&maps), objs(&indexed));
-        for o in 0..5u32 {
-            assert_eq!(
-                maps.requesters_of(ObjectId(o)),
-                indexed.requesters_of(ObjectId(o)),
-                "requesters of {o}"
-            );
-        }
-        for t in &txns {
-            let a: Vec<TxnId> = maps.conflicting_live(t).iter().map(|l| l.txn.id).collect();
-            let b: Vec<TxnId> = indexed
-                .conflicting_live(t)
-                .iter()
-                .map(|l| l.txn.id)
-                .collect();
-            assert_eq!(a, b, "conflicts of {}", t.id);
-        }
-        assert!(maps.step_effects().is_none());
-        assert!(indexed.step_effects().is_some());
     }
 }

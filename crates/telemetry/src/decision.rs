@@ -4,12 +4,12 @@
 //! [`DecisionTraceHandle`] and appends one [`Decision`] per choice it
 //! makes — the conflict-set size and assigned color for the greedy
 //! coloring, bucket level and activation epoch for the bucket schedules,
-//! cover layer and report latency for the distributed protocol, queue and
-//! tour positions for the baselines. The records are structured (serde)
-//! so traces can be exported as JSONL or joined against the event log by
-//! transaction id.
+//! cover layer and report latency for the distributed protocols (plus
+//! object chases for the message-level one), queue and tour positions
+//! for the baselines. The records are structured (serde) so traces can be
+//! exported as JSONL or joined against the event log by transaction id.
 
-use dtm_model::{Time, TxnId};
+use dtm_model::{ObjectId, Time, TxnId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -82,6 +82,13 @@ pub enum DecisionKind {
         /// waited for.
         notify: Time,
     },
+    /// Message-level Algorithm 3: a `Find` for one of the transaction's
+    /// objects was forwarded along the object's trail (or re-sent while
+    /// the object is inbound) instead of catching it.
+    DistChase {
+        /// The object being chased.
+        object: ObjectId,
+    },
     /// Randomized backoff: a random offset inside the contention window.
     Backoff {
         /// Window size the offset was drawn from.
@@ -105,6 +112,7 @@ impl DecisionKind {
             DecisionKind::DistReport { .. } => "dist-report",
             DecisionKind::DistInsert { .. } => "dist-insert",
             DecisionKind::DistActivate { .. } => "dist-activate",
+            DecisionKind::DistChase { .. } => "dist-chase",
             DecisionKind::Backoff { .. } => "backoff",
         }
     }
@@ -186,7 +194,7 @@ impl DecisionTrace {
 }
 
 /// Shared handle a policy writes through while the caller keeps the other
-/// end (the same `Arc<Mutex<_>>` convention as the policy stats handles).
+/// end.
 pub type DecisionTraceHandle = Arc<Mutex<DecisionTrace>>;
 
 /// Fresh empty handle.

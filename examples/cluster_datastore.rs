@@ -11,12 +11,13 @@
 //! cargo run -p dtm-examples --release --bin cluster_datastore
 //! ```
 
-use dtm_core::{BucketPolicy, BucketStats, FifoPolicy};
+use dtm_core::{BucketPolicy, FifoPolicy};
 use dtm_graph::topology;
 use dtm_model::{ClosedLoopSource, ObjectChoice, WorkloadSpec};
 use dtm_offline::ClusterScheduler;
 use dtm_sim::{run_policy, EngineConfig};
-use parking_lot::Mutex;
+use dtm_telemetry::{decision_trace, DecisionKind};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn main() {
@@ -36,12 +37,12 @@ fn main() {
     };
 
     // Bucket(cluster) — Algorithm 2 around the SPAA'17-style substrate.
-    let stats = Arc::new(Mutex::new(BucketStats::default()));
+    let trace = decision_trace();
     let src = ClosedLoopSource::new(network.clone(), spec.clone(), 3, 11);
     let bucket = run_policy(
         &network,
         src,
-        BucketPolicy::new(ClusterScheduler::default()).with_stats(Arc::clone(&stats)),
+        BucketPolicy::new(ClusterScheduler::default()).with_decision_trace(Arc::clone(&trace)),
         EngineConfig::default(),
     );
     bucket.expect_ok();
@@ -63,18 +64,28 @@ fn main() {
         );
     }
 
-    let s = stats.lock();
     println!(
         "\nbucket telemetry (Lemma 3 bound: level <= {}):",
         network.max_bucket_level()
     );
-    let mut per_level: std::collections::BTreeMap<u32, usize> = Default::default();
-    for &lvl in s.levels.values() {
-        *per_level.entry(lvl).or_insert(0) += 1;
+    let mut per_level: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut activations: BTreeSet<(u32, u64)> = BTreeSet::new();
+    let mut overflows = 0;
+    for d in &trace.lock().decisions {
+        match d.kind {
+            DecisionKind::BucketInsert { level, overflow } => {
+                *per_level.entry(level).or_insert(0) += 1;
+                overflows += usize::from(overflow);
+            }
+            DecisionKind::BucketActivate { level, epoch, .. } => {
+                activations.insert((level, epoch));
+            }
+            _ => {}
+        }
     }
     for (lvl, count) in &per_level {
-        let activations = s.activations.get(lvl).copied().unwrap_or(0);
-        println!("  level {lvl}: {count} txns inserted, {activations} non-empty activations");
+        let fired = activations.iter().filter(|&&(l, _)| l == *lvl).count();
+        println!("  level {lvl}: {count} txns inserted, {fired} non-empty activations");
     }
-    println!("  probe overflows: {}", s.overflows);
+    println!("  probe overflows: {overflows}");
 }

@@ -1,12 +1,12 @@
 //! Integration tests of the distributed bucket protocol (Algorithm 3) and
 //! its sparse-cover substrate.
 
-use dtm_core::{BucketPolicy, DistStats, DistributedBucketPolicy};
+use dtm_core::{BucketPolicy, DistributedBucketPolicy};
 use dtm_graph::{topology, Network, SparseCover};
 use dtm_model::{ClosedLoopSource, WorkloadSpec};
 use dtm_offline::ListScheduler;
 use dtm_sim::{run_policy, validate_events, EngineConfig, ValidationConfig};
-use parking_lot::Mutex;
+use dtm_telemetry::{decision_trace, Counter, DecisionKind};
 use std::sync::Arc;
 
 fn dist_cfg() -> EngineConfig {
@@ -75,7 +75,8 @@ fn distributed_bucket_on_paper_topologies() {
 #[test]
 fn protocol_accounting() {
     let net = topology::grid(&[4, 4]);
-    let stats = Arc::new(Mutex::new(DistStats::default()));
+    let trace = decision_trace();
+    let messages = Arc::new(Counter::default());
     let spec = WorkloadSpec::batch_uniform(8, 2);
     let src = ClosedLoopSource::new(net.clone(), spec, 2, 41);
     let expected = src.total_txns();
@@ -83,20 +84,30 @@ fn protocol_accounting() {
     let res = run_policy(
         &net,
         src,
-        DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 8).with_stats(Arc::clone(&stats)),
+        DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 8)
+            .with_decision_trace(Arc::clone(&trace))
+            .with_message_counter(Arc::clone(&messages)),
         dist_cfg(),
     );
     res.expect_ok();
-    let s = stats.lock();
-    assert_eq!(s.levels.len(), expected);
+    let trace = trace.lock();
+    let (mut inserts, mut reports) = (0, 0);
+    for d in &trace.decisions {
+        match d.kind {
+            DecisionKind::DistInsert { .. } => inserts += 1,
+            DecisionKind::DistReport { layer, .. } => {
+                reports += 1;
+                assert!(layer < cover_layers);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(inserts, expected);
     assert!(
-        s.messages >= expected as u64 * 3,
+        messages.get() >= expected as u64 * 3,
         "discovery+report+notify each"
     );
-    for &layer in s.reports_per_layer.keys() {
-        assert!(layer < cover_layers);
-    }
-    assert_eq!(s.report_latency.len(), expected);
+    assert_eq!(reports, expected);
 }
 
 /// Half-speed rule: the same schedule shape, but object traversals take

@@ -3,7 +3,7 @@
 //! message-level distributed protocol, congestion analysis and timeline
 //! rendering — all exercised together through the public API.
 
-use dtm_core::{AutoPolicy, DistributedMsgPolicy, GreedyPolicy, MsgStats, RandomizedBackoffPolicy};
+use dtm_core::{AutoPolicy, DistributedMsgPolicy, GreedyPolicy, RandomizedBackoffPolicy};
 use dtm_graph::topology;
 use dtm_model::{presets, TraceSource, WorkloadGenerator};
 use dtm_offline::ListScheduler;
@@ -11,7 +11,6 @@ use dtm_sim::{
     edge_congestion, peak_congestion, render_timeline, run_policy, validate_events, EngineConfig,
     TimelineOptions, ValidationConfig,
 };
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 #[test]
@@ -68,11 +67,12 @@ fn inventory_benchmark_message_level_protocol() {
     let net = topology::grid(&[4, 4]);
     let inst = WorkloadGenerator::new(presets::inventory(32, 2, 0.15, 16), 3).generate(&net);
     let n = inst.num_txns();
-    let stats = Arc::new(Mutex::new(MsgStats::default()));
+    let messages = Arc::new(dtm_telemetry::Counter::default());
     let res = run_policy(
         &net,
         TraceSource::new(inst),
-        DistributedMsgPolicy::new(&net, ListScheduler::fifo(), 9).with_stats(Arc::clone(&stats)),
+        DistributedMsgPolicy::new(&net, ListScheduler::fifo(), 9)
+            .with_message_counter(Arc::clone(&messages)),
         DistributedMsgPolicy::<ListScheduler>::engine_config(),
     );
     res.expect_ok();
@@ -87,7 +87,7 @@ fn inventory_benchmark_message_level_protocol() {
     )
     .unwrap();
     assert_eq!(res.metrics.committed, n);
-    assert!(stats.lock().messages > 0 || n == 0);
+    assert!(messages.get() > 0 || n == 0);
 }
 
 #[test]

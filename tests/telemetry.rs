@@ -8,14 +8,17 @@
 //! Also checks the structured exports end to end: the JSONL round trip
 //! and the Chrome `trace_event` document against the schema validator.
 
-use dtm_core::{BucketPolicy, DistributedBucketPolicy, FifoPolicy, GreedyPolicy, TspPolicy};
+use dtm_core::{
+    BucketPolicy, DistributedBucketPolicy, DistributedMsgPolicy, FifoPolicy, GreedyPolicy,
+    TspPolicy,
+};
 use dtm_graph::{topology, Network};
 use dtm_model::{FiniteArrivals, ObjectChoice, TraceSource, WorkloadGenerator, WorkloadSpec};
 use dtm_offline::ListScheduler;
 use dtm_sim::{run_policy, Engine, EngineConfig, PhaseProfile, RunResult, SchedulingPolicy};
 use dtm_telemetry::{
-    decision_trace, flight_recorder, health_monitor, validate_chrome_trace, DecisionTrace,
-    HealthConfig, MetricsRegistry, RunTrace, SteadyStateProbe, TelemetrySink,
+    decision_trace, flight_recorder, health_monitor, validate_chrome_trace, DecisionKind,
+    DecisionTrace, HealthConfig, MetricsRegistry, RunTrace, SteadyStateProbe, TelemetrySink,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -164,6 +167,28 @@ fn distributed_bucket_unperturbed_by_telemetry() {
         },
         DistributedBucketPolicy::<ListScheduler>::engine_config(),
     );
+}
+
+#[test]
+fn distributed_msg_unperturbed_by_telemetry() {
+    let (net, _) = scenario();
+    let mk_net = net.clone();
+    let (_, decisions) = check_no_perturbation(
+        "distributed_msg",
+        move || Box::new(DistributedMsgPolicy::new(&net, ListScheduler::fifo(), 7)),
+        move |d| {
+            Box::new(
+                DistributedMsgPolicy::new(&mk_net, ListScheduler::fifo(), 7).with_decision_trace(d),
+            )
+        },
+        DistributedMsgPolicy::<ListScheduler>::engine_config(),
+    );
+    let chases = decisions
+        .decisions
+        .iter()
+        .filter(|d| matches!(d.kind, DecisionKind::DistChase { .. }))
+        .count();
+    assert!(chases > 0, "origin-bound finds chase moving objects");
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Theorem-level assertions at integration scale: every bound the paper
 //! proves must hold on every run this suite performs.
 
-use dtm_core::{BucketPolicy, BucketStats, GreedyPolicy, GreedyStats};
+use dtm_core::{BucketPolicy, GreedyPolicy};
 use dtm_graph::topology;
 use dtm_model::{
     ClosedLoopSource, FiniteArrivals, ObjectChoice, TraceSource, WorkloadGenerator, WorkloadSpec,
 };
 use dtm_offline::{competitive_ratio, LineScheduler, ListScheduler};
 use dtm_sim::{run_policy, EngineConfig};
-use parking_lot::Mutex;
+use dtm_telemetry::{decision_trace, DecisionKind};
 use std::sync::Arc;
 
 /// Theorem 1: color <= 2Γ' - Δ' on every topology and seed tested.
@@ -25,7 +25,7 @@ fn theorem1_bound_many_topologies() {
     ];
     for net in &nets {
         for seed in 0..3u64 {
-            let stats = Arc::new(Mutex::new(GreedyStats::default()));
+            let trace = decision_trace();
             let spec = WorkloadSpec {
                 num_objects: 8,
                 k: 3,
@@ -39,15 +39,19 @@ fn theorem1_bound_many_topologies() {
             let res = run_policy(
                 net,
                 TraceSource::new(inst),
-                GreedyPolicy::new().with_stats(Arc::clone(&stats)),
+                GreedyPolicy::new().with_decision_trace(Arc::clone(&trace)),
                 EngineConfig::default(),
             );
             res.expect_ok();
-            for &(id, color, bound) in &stats.lock().assigned {
+            for d in &trace.lock().decisions {
+                let DecisionKind::GreedyColor { color, bound, .. } = d.kind else {
+                    panic!("unexpected decision {:?}", d.kind);
+                };
                 assert!(
                     color <= bound,
-                    "{}: {id} color {color} > Theorem 1 bound {bound}",
-                    net.name()
+                    "{}: {} color {color} > Theorem 1 bound {bound}",
+                    net.name(),
+                    d.txn
                 );
             }
         }
@@ -63,7 +67,7 @@ fn theorem2_uniform_bound() {
         (topology::hypercube(3), 3),
         (topology::hypercube(4), 4),
     ] {
-        let stats = Arc::new(Mutex::new(GreedyStats::default()));
+        let trace = decision_trace();
         let spec = WorkloadSpec {
             num_objects: 6,
             k: 2,
@@ -77,13 +81,16 @@ fn theorem2_uniform_bound() {
         let res = run_policy(
             &net,
             TraceSource::new(inst),
-            GreedyPolicy::uniform(beta).with_stats(Arc::clone(&stats)),
+            GreedyPolicy::uniform(beta).with_decision_trace(Arc::clone(&trace)),
             EngineConfig::default(),
         );
         res.expect_ok();
-        for &(id, color, bound) in &stats.lock().assigned {
+        for d in &trace.lock().decisions {
+            let DecisionKind::GreedyColor { color, bound, .. } = d.kind else {
+                panic!("unexpected decision {:?}", d.kind);
+            };
             assert!(color >= 1);
-            assert!(color <= bound, "{id}: {color} > {bound}");
+            assert!(color <= bound, "{}: {color} > {bound}", d.txn);
         }
         // Absolute execution times are multiples of beta.
         for (txn, exec) in res.schedule.iter() {
@@ -96,7 +103,7 @@ fn theorem2_uniform_bound() {
 #[test]
 fn bucket_lemmas_on_line_and_grid() {
     for (net, line) in [(topology::line(32), true), (topology::grid(&[5, 5]), false)] {
-        let stats = Arc::new(Mutex::new(BucketStats::default()));
+        let trace = decision_trace();
         let spec = WorkloadSpec {
             num_objects: 8,
             k: 2,
@@ -111,31 +118,40 @@ fn bucket_lemmas_on_line_and_grid() {
             run_policy(
                 &net,
                 TraceSource::new(inst),
-                BucketPolicy::new(LineScheduler).with_stats(Arc::clone(&stats)),
+                BucketPolicy::new(LineScheduler).with_decision_trace(Arc::clone(&trace)),
                 EngineConfig::default(),
             )
         } else {
             run_policy(
                 &net,
                 TraceSource::new(inst),
-                BucketPolicy::new(ListScheduler::fifo()).with_stats(Arc::clone(&stats)),
+                BucketPolicy::new(ListScheduler::fifo()).with_decision_trace(Arc::clone(&trace)),
                 EngineConfig::default(),
             )
         };
         res.expect_ok();
-        let s = stats.lock();
-        assert_eq!(s.overflows, 0);
         let lemma3 = net.max_bucket_level();
-        for (&id, &lvl) in &s.levels {
+        let mut inserts = 0;
+        for d in &trace.lock().decisions {
+            let DecisionKind::BucketInsert {
+                level: lvl,
+                overflow,
+            } = d.kind
+            else {
+                continue;
+            };
+            inserts += 1;
+            let id = d.txn;
+            assert!(!overflow, "{id} overflowed every probe");
             assert!(lvl <= lemma3, "{id} level {lvl} > {lemma3}");
-            let inserted = s.inserted_at[&id];
-            let deadline = inserted + (lvl as u64 + 1) * (1u64 << (lvl + 2));
+            let deadline = d.t + (lvl as u64 + 1) * (1u64 << (lvl + 2));
             assert!(
                 res.commits[&id] <= deadline,
                 "{id} missed Lemma 4 deadline on {}",
                 net.name()
             );
         }
+        assert_eq!(inserts, res.txns.len(), "one insertion per transaction");
     }
 }
 
