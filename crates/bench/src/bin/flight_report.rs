@@ -12,23 +12,8 @@
 //! step records, the decision tail, and any appended health events —
 //! the post-mortem view of a long open-system run's last K steps.
 
+use dtm_bench::{fail, flag_value};
 use serde::Value;
-
-/// Value following `flag` in `args`, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Print `msg` to stderr and exit nonzero. Like `trace_report`, this
-/// report must diagnose bad input (empty, truncated, corrupt dumps)
-/// rather than panic.
-fn fail(msg: &str) -> ! {
-    eprintln!("flight_report: {msg}");
-    std::process::exit(2);
-}
 
 /// Typed lines of one kind, in file order.
 fn lines_of<'a>(parsed: &'a [Value], kind: &str) -> Vec<&'a Value> {

@@ -3,36 +3,44 @@
 //! ```text
 //! cargo run -p dtm-bench --release --bin gen_trace -- \
 //!     [topology] [num_objects] [k] [rate] [horizon] [seed] > trace.json
+//! # topology: clique | line | grid | hypercube | star | cluster
 //! # defaults: grid 12 2 0.2 30 1
 //! ```
 //!
+//! An unknown topology or a non-numeric argument exits 2 with a
+//! diagnostic.
+//!
 //! Replay with `run_trace`.
 
-use dtm_graph::{topology, Network};
+use dtm_bench::fail;
+use dtm_graph::topology;
 use dtm_model::{FiniteArrivals, ObjectChoice, WorkloadGenerator, WorkloadSpec};
 
-fn network_from(name: &str) -> Network {
-    match name {
-        "clique" => topology::clique(24),
-        "line" => topology::line(48),
-        "hypercube" => topology::hypercube(5),
-        "star" => topology::star(4, 8),
-        "cluster" => topology::cluster(4, 5, 6),
-        _ => topology::grid(&[6, 6]),
+/// Positional argument `i` parsed as `T`, or `default` when absent.
+fn arg<T: std::str::FromStr>(args: &[String], i: usize, name: &str, default: T) -> T {
+    match args.get(i) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| fail(&format!("{name} must be a number, got {v:?}"))),
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let get = |i: usize, default: &str| args.get(i).cloned().unwrap_or_else(|| default.into());
-    let topo = get(1, "grid");
-    let num_objects: u32 = get(2, "12").parse().expect("num_objects");
-    let k: usize = get(3, "2").parse().expect("k");
-    let rate: f64 = get(4, "0.2").parse().expect("rate");
-    let horizon: u64 = get(5, "30").parse().expect("horizon");
-    let seed: u64 = get(6, "1").parse().expect("seed");
+    let topo = args.get(1).map_or("grid", String::as_str);
+    let net = topology::by_name(topo).unwrap_or_else(|| {
+        fail(&format!(
+            "unknown topology {topo:?}; expected one of: {}",
+            topology::NAMES.join(", ")
+        ))
+    });
+    let num_objects: u32 = arg(&args, 2, "num_objects", 12);
+    let k: usize = arg(&args, 3, "k", 2);
+    let rate: f64 = arg(&args, 4, "rate", 0.2);
+    let horizon: u64 = arg(&args, 5, "horizon", 30);
+    let seed: u64 = arg(&args, 6, "seed", 1);
 
-    let net = network_from(&topo);
     let spec = WorkloadSpec {
         num_objects,
         k,

@@ -25,7 +25,7 @@
 //! failing CI job uploads the black boxes as artifacts. Exits nonzero
 //! on any failed verdict.
 
-use dtm_bench::{run_stream_observed, ObserveSpec};
+use dtm_bench::{fail, flag_value, run_stream_observed, ObserveSpec};
 use dtm_core::{
     BucketPolicy, DistributedBucketPolicy, DistributedMsgPolicy, FifoPolicy, GreedyPolicy,
     TspPolicy,
@@ -35,18 +35,6 @@ use dtm_model::{ArrivalProcess, OpenLoopSource, WorkloadSpec};
 use dtm_offline::ListScheduler;
 use dtm_sim::{EngineConfig, SchedulingPolicy};
 use std::path::PathBuf;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn fail_usage(msg: &str) -> ! {
-    eprintln!("long_haul: {msg}");
-    std::process::exit(2);
-}
 
 const POLICIES: [&str; 6] = ["greedy", "bucket", "fifo", "tsp", "dist-bucket", "dist-msg"];
 
@@ -58,7 +46,7 @@ fn policy_for(name: &str, net: &dtm_graph::Network) -> Box<dyn SchedulingPolicy>
         "tsp" => Box::new(TspPolicy::new()),
         "dist-bucket" => Box::new(DistributedBucketPolicy::new(net, ListScheduler::fifo(), 31)),
         "dist-msg" => Box::new(DistributedMsgPolicy::new(net, ListScheduler::fifo(), 31)),
-        other => fail_usage(&format!(
+        other => fail(&format!(
             "unknown --policy {other:?} (expected one of {POLICIES:?})"
         )),
     }
@@ -69,14 +57,11 @@ fn main() {
     let steps: u64 = flag_value(&args, "--steps")
         .map(|v| {
             v.parse()
-                .unwrap_or_else(|_| fail_usage("--steps takes an integer"))
+                .unwrap_or_else(|_| fail("--steps takes an integer"))
         })
         .unwrap_or(1_000_000);
     let rate: f64 = flag_value(&args, "--rate")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail_usage("--rate takes a number"))
-        })
+        .map(|v| v.parse().unwrap_or_else(|_| fail("--rate takes a number")))
         .unwrap_or(0.3);
     let out = PathBuf::from(
         flag_value(&args, "--out").unwrap_or_else(|| "long-haul-artifacts".to_string()),
@@ -84,13 +69,13 @@ fn main() {
     let flight_k: usize = flag_value(&args, "--flight-k")
         .map(|v| {
             v.parse()
-                .unwrap_or_else(|_| fail_usage("--flight-k takes an integer"))
+                .unwrap_or_else(|_| fail("--flight-k takes an integer"))
         })
         .unwrap_or(1024);
     let expose_every: u64 = flag_value(&args, "--expose-every")
         .map(|v| {
             v.parse()
-                .unwrap_or_else(|_| fail_usage("--expose-every takes an integer"))
+                .unwrap_or_else(|_| fail("--expose-every takes an integer"))
         })
         .unwrap_or_else(|| (steps / 100).max(1));
     let expect_overload = args.iter().any(|a| a == "--expect-overload");
@@ -107,7 +92,7 @@ fn main() {
     let sources: Vec<&str> = match only_source.as_deref() {
         Some("poisson") => vec!["poisson"],
         Some("adversarial") => vec!["adversarial"],
-        Some(other) => fail_usage(&format!(
+        Some(other) => fail(&format!(
             "unknown --source {other:?} (expected poisson | adversarial)"
         )),
         None => vec!["poisson", "adversarial"],

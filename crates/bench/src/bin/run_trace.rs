@@ -9,7 +9,12 @@
 //! # --emit-trace writes the full structured run trace (JSONL) for
 //! #   trace_report / Perfetto conversion
 //! ```
+//!
+//! Bad input — a missing or unreadable file, malformed JSON, a missing
+//! `topology`/`instance` field, an unknown topology or policy, or a trace
+//! that does not fit its topology — exits 2 with a diagnostic.
 
+use dtm_bench::{fail, flag_value};
 use dtm_core::{BucketPolicy, DistributedBucketPolicy, FifoPolicy, GreedyPolicy, TspPolicy};
 use dtm_graph::{topology, Network};
 use dtm_model::{Instance, TraceSource};
@@ -21,24 +26,7 @@ use dtm_telemetry::{decision_trace, MetricsRegistry, RunTrace, TelemetrySink};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-fn network_from(name: &str) -> Network {
-    match name {
-        "clique" => topology::clique(24),
-        "line" => topology::line(48),
-        "hypercube" => topology::hypercube(5),
-        "star" => topology::star(4, 8),
-        "cluster" => topology::cluster(4, 5, 6),
-        _ => topology::grid(&[6, 6]),
-    }
-}
-
-/// Value following `flag` in `args`, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const POLICIES: [&str; 5] = ["greedy", "bucket", "fifo", "tsp", "distributed"];
 
 fn run_with_observers(
     net: &Network,
@@ -56,16 +44,32 @@ fn run_with_observers(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let path = args.get(1).expect("usage: run_trace <trace.json> [policy]");
-    let policy_name = args.get(2).cloned().unwrap_or_else(|| "greedy".into());
+    let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
+        fail("usage: run_trace <trace.json> [policy] [--timeline] [--emit-trace run.jsonl]");
+    };
+    let policy_name = args
+        .get(2)
+        .filter(|a| !a.starts_with("--"))
+        .map_or("greedy", String::as_str);
     let emit_trace = flag_value(&args, "--emit-trace");
-    let raw = std::fs::read_to_string(path).expect("readable trace file");
-    let doc: serde_json::Value = serde_json::from_str(&raw).expect("valid JSON");
-    let topo = doc["topology"].as_str().expect("topology field");
-    let instance: Instance =
-        serde_json::from_value(doc["instance"].clone()).expect("instance field");
-    let net = network_from(topo);
-    instance.validate(&net).expect("trace matches topology");
+    let raw =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    let doc: serde_json::Value = serde_json::from_str(&raw)
+        .unwrap_or_else(|e| fail(&format!("{path} is not valid JSON: {e}")));
+    let Some(topo) = doc["topology"].as_str() else {
+        fail(&format!("{path} has no string \"topology\" field"));
+    };
+    let instance: Instance = serde_json::from_value(doc["instance"].clone())
+        .unwrap_or_else(|e| fail(&format!("{path} has no valid \"instance\" field: {e}")));
+    let net = topology::by_name(topo).unwrap_or_else(|| {
+        fail(&format!(
+            "unknown topology {topo:?}; expected one of: {}",
+            topology::NAMES.join(", ")
+        ))
+    });
+    if let Err(e) = instance.validate(&net) {
+        fail(&format!("{path} does not fit topology {topo}: {e}"));
+    }
 
     // Observability side channels: only attached when a structured trace
     // was requested, so the plain replay path stays identical to before.
@@ -78,7 +82,7 @@ fn main() {
     let dt = |on: bool| on.then(|| Arc::clone(&decisions));
 
     let (policy, config, vcfg): (Box<dyn SchedulingPolicy>, EngineConfig, ValidationConfig) =
-        match policy_name.as_str() {
+        match policy_name {
             "bucket" => {
                 let mut p = BucketPolicy::new(ListScheduler::fifo());
                 if let Some(d) = dt(trace_on) {
@@ -126,7 +130,7 @@ fn main() {
                     },
                 )
             }
-            _ => {
+            "greedy" => {
                 let mut p = GreedyPolicy::new();
                 if let Some(d) = dt(trace_on) {
                     p = p.with_decision_trace(d);
@@ -137,6 +141,10 @@ fn main() {
                     ValidationConfig::default(),
                 )
             }
+            other => fail(&format!(
+                "unknown policy {other:?}; expected one of: {}",
+                POLICIES.join(", ")
+            )),
         };
 
     let res = run_with_observers(&net, instance, policy, config, sink.clone());
@@ -155,7 +163,8 @@ fn main() {
     if let Some(out) = emit_trace {
         let phases = sink.map(|s| s.lock().take_spans()).unwrap_or_default();
         let trace = RunTrace::from_run(&res, phases, Some(&decisions.lock()));
-        std::fs::write(&out, trace.to_jsonl()).expect("trace file writable");
+        std::fs::write(&out, trace.to_jsonl())
+            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
         println!(
             "trace           : {out} ({} events, {} decisions, {} phase spans)",
             trace.events.len(),

@@ -12,18 +12,11 @@
 //! (generation -> commit), log2 histograms of queue wait / time-to-commit
 //! / per-object hops, and the sampled per-phase wall-clock breakdown.
 
+use dtm_bench::{fail, flag_value};
 use dtm_telemetry::{
     run_names, slowest_transactions, validate_chrome_trace, HistogramSnapshot, MetricsRegistry,
     RunTrace,
 };
-
-/// Value following `flag` in `args`, if present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// Render the non-empty buckets of a log2 histogram with a count bar.
 fn print_histogram(name: &str, h: &HistogramSnapshot) {
@@ -46,14 +39,6 @@ fn print_histogram(name: &str, h: &HistogramSnapshot) {
         let bar = "#".repeat(((b.count * 40).div_ceil(peak)) as usize);
         println!("  [{:>6}, {:>6}] {:>8} {bar}", b.lo, b.hi, b.count);
     }
-}
-
-/// Print `msg` to stderr and exit nonzero. Reports must fail gracefully
-/// on bad input — an operator pointing this at a truncated or empty file
-/// gets a diagnosis, not a panic.
-fn fail(msg: &str) -> ! {
-    eprintln!("trace_report: {msg}");
-    std::process::exit(2);
 }
 
 fn main() {

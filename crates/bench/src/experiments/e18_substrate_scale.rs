@@ -7,8 +7,8 @@
 //! generators (random geometric, preferential-attachment power law, and
 //! the fog/cloud tree) up a decade ladder and records, per decade:
 //!
-//! * **E18a** — which routing tier serves the network (dense table,
-//!   lazy trees, landmark oracle, or closed-form structured routing),
+//! * **E18a** — which routing tier serves the network (lazy trees,
+//!   landmark oracle, or closed-form structured routing),
 //!   its size, and the diameter bound the schedulers will consume;
 //! * **E18b** — routing fidelity spot checks against exact Dijkstra:
 //!   reported distances must be symmetric, within the advertised

@@ -66,6 +66,28 @@ pub fn init_jobs() {
     }
 }
 
+/// Value following `flag` in `args`, if present.
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// Print `msg` to stderr, prefixed with the running binary's name, and
+/// exit with code 2. This is the bad-input contract of the trace, report
+/// and soak binaries: a missing, truncated or malformed input gets a
+/// diagnosis, never a panic.
+pub fn fail(msg: &str) -> ! {
+    let bin = std::env::args_os()
+        .next()
+        .map(std::path::PathBuf::from)
+        .and_then(|p| Some(p.file_stem()?.to_string_lossy().into_owned()))
+        .unwrap_or_default();
+    eprintln!("{bin}: {msg}");
+    std::process::exit(2);
+}
+
 /// The process-wide `--telemetry <dir>` flag used by every experiment
 /// binary: when present, [`run_summary`] writes one `MetricsSnapshot`
 /// sidecar JSON per run into the directory (created on demand). See

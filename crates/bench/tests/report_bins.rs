@@ -1,7 +1,8 @@
-//! Regression tests for the report binaries' input handling: both
-//! `trace_report` and `flight_report` must fail *gracefully* — an error
-//! message on stderr and a nonzero exit, never a panic — on empty,
-//! truncated, or malformed JSONL, and must render valid input.
+//! Regression tests for the report and trace binaries' input handling:
+//! `trace_report`, `flight_report`, `gen_trace` and `run_trace` must fail
+//! *gracefully* — an error message on stderr and exit code 2, never a
+//! panic — on missing, empty, truncated or malformed input and on
+//! unknown names, and must process valid input.
 
 use dtm_sim::{StepEffects, StepObserver};
 use std::path::PathBuf;
@@ -87,6 +88,99 @@ fn flight_report_fails_gracefully_on_bad_input() {
     assert_graceful(
         &run_bin(exe, &["/nonexistent/run.flight.jsonl"]),
         "missing file",
+    );
+}
+
+#[test]
+fn gen_trace_fails_gracefully_on_bad_input() {
+    let exe = env!("CARGO_BIN_EXE_gen_trace");
+    assert_graceful(&run_bin(exe, &["torus"]), "unknown topology");
+    assert_graceful(
+        &run_bin(exe, &["grid", "twelve"]),
+        "non-numeric num_objects",
+    );
+    assert_graceful(
+        &run_bin(exe, &["grid", "12", "2", "fast"]),
+        "non-numeric rate",
+    );
+}
+
+#[test]
+fn run_trace_fails_gracefully_on_bad_input() {
+    let exe = env!("CARGO_BIN_EXE_run_trace");
+    assert_graceful(&run_bin(exe, &[]), "no args");
+    assert_graceful(&run_bin(exe, &["/nonexistent/trace.json"]), "missing file");
+    let garbage = tmp_file("run-garbage.json", "not json at all");
+    assert_graceful(&run_bin(exe, &[garbage.to_str().unwrap()]), "garbage JSON");
+    let no_topo = tmp_file("run-no-topo.json", "{\"instance\":{}}");
+    assert_graceful(
+        &run_bin(exe, &[no_topo.to_str().unwrap()]),
+        "missing topology field",
+    );
+    let no_inst = tmp_file("run-no-inst.json", "{\"topology\":\"grid\"}");
+    assert_graceful(
+        &run_bin(exe, &[no_inst.to_str().unwrap()]),
+        "missing instance field",
+    );
+    let trace = gen_trace(&["grid", "6", "2", "0.1", "10", "3"]);
+    let unknown_topo = tmp_file(
+        "run-unknown-topo.json",
+        &trace.replace("\"grid\"", "\"torus\""),
+    );
+    assert_graceful(
+        &run_bin(exe, &[unknown_topo.to_str().unwrap()]),
+        "unknown topology",
+    );
+    // A 36-node grid trace replayed on the 33-node star.
+    let mismatch = tmp_file("run-mismatch.json", &trace.replace("\"grid\"", "\"star\""));
+    assert_graceful(
+        &run_bin(exe, &[mismatch.to_str().unwrap()]),
+        "trace does not fit topology",
+    );
+    let ok = tmp_file("run-ok.json", &trace);
+    assert_graceful(
+        &run_bin(exe, &[ok.to_str().unwrap(), "quantum"]),
+        "unknown policy",
+    );
+}
+
+/// `gen_trace` stdout for `args`, asserting success.
+fn gen_trace(args: &[&str]) -> String {
+    let out = run_bin(env!("CARGO_BIN_EXE_gen_trace"), args);
+    assert!(
+        out.status.success(),
+        "gen_trace failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("gen_trace writes UTF-8 JSON")
+}
+
+#[test]
+fn gen_trace_output_replays_under_distributed() {
+    // The distributed policy routes on its half-speed copy of the grid,
+    // an unstructured graph on the exact lazy-tree routing tier; the run
+    // is replayed through `validate_events`.
+    let trace = tmp_file(
+        "pipeline.json",
+        &gen_trace(&["grid", "12", "2", "0.2", "30", "1"]),
+    );
+    let out = run_bin(
+        env!("CARGO_BIN_EXE_run_trace"),
+        &[trace.to_str().unwrap(), "distributed"],
+    );
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("policy          : distributed-bucket"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("topology        : grid([6, 6])"),
+        "{stdout}"
     );
 }
 

@@ -45,8 +45,8 @@ use crate::coloring::ColorConstraint;
 use crate::dependency::{constraints_for, extended_degrees, ExtendedDegrees};
 use dtm_graph::{NodeId, Weight};
 use dtm_model::{Time, Transaction, TxnId};
-use dtm_sim::SystemView;
-use std::collections::{BTreeMap, VecDeque};
+use dtm_sim::{IdWindow, SystemView};
+use std::collections::BTreeMap;
 
 /// Debug-build divergence checks (incremental state versus a full
 /// rescan) run on every `DIVERGENCE_SAMPLE_PERIOD`-th refresh rather
@@ -68,98 +68,12 @@ struct CacheEntry {
     edges: Vec<(TxnId, Weight)>,
 }
 
-/// Dense id-window map from [`TxnId`] to [`CacheEntry`].
-///
-/// Transaction ids are handed out as a monotonically increasing
-/// sequence and the live set is a bounded sliding window of that
-/// sequence, so the refresh hot path does not need an ordered tree:
-/// entries live in a `VecDeque` indexed by `id - base`, making every
-/// get/insert/remove O(1). Dead slots at the front are trimmed on
-/// removal, so memory stays O(live id window) no matter how many
-/// transactions stream through. Iteration (and therefore the debug
-/// divergence comparison) walks the window front-to-back — ascending
-/// id order, same as the `BTreeMap` this replaces.
-#[derive(Clone, Debug, Default)]
-struct EntrySlab {
-    /// TxnId of `slots[0]`; meaningful only while `slots` is non-empty.
-    base: u64,
-    // dtm-lint: bounded -- O(live id window): dead slots trim from the front on removal
-    slots: VecDeque<Option<CacheEntry>>,
-    len: usize,
-}
-
-impl EntrySlab {
-    fn get(&self, id: TxnId) -> Option<&CacheEntry> {
-        let idx = id.0.checked_sub(self.base)? as usize;
-        self.slots.get(idx)?.as_ref()
-    }
-
-    fn get_mut(&mut self, id: TxnId) -> Option<&mut CacheEntry> {
-        let idx = id.0.checked_sub(self.base)? as usize;
-        self.slots.get_mut(idx)?.as_mut()
-    }
-
-    fn insert(&mut self, id: TxnId, entry: CacheEntry) {
-        if self.slots.is_empty() {
-            self.base = id.0;
-        } else if id.0 < self.base {
-            // Out-of-order low id: grow the front.
-            for _ in id.0..self.base {
-                self.slots.push_front(None);
-            }
-            self.base = id.0;
-        }
-        let idx = (id.0 - self.base) as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        if self.slots[idx].replace(entry).is_none() {
-            self.len += 1;
-        }
-    }
-
-    fn remove(&mut self, id: TxnId) -> Option<CacheEntry> {
-        let idx = id.0.checked_sub(self.base)? as usize;
-        let entry = self.slots.get_mut(idx)?.take()?;
-        self.len -= 1;
-        // Trim the dead front so `base` tracks the live window.
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        Some(entry)
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.base = 0;
-        self.len = 0;
-    }
-
-    /// Entries in ascending id order.
-    fn iter(&self) -> impl Iterator<Item = (TxnId, &CacheEntry)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|e| (TxnId(self.base + i as u64), e)))
-    }
-}
-
-/// Window placement (`base`, dead-slot padding) is an implementation
-/// detail: two slabs are equal when they hold the same entries.
-impl PartialEq for EntrySlab {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for EntrySlab {}
-
 /// Incrementally-maintained conflict pairs + memoized distances for all
 /// live transactions. See the module docs for the delta discipline.
 #[derive(Clone, Debug, Default)]
 pub struct ConflictCache {
-    entries: EntrySlab,
+    /// Cache entries over the live id window (ascending id iteration).
+    entries: IdWindow<CacheEntry>,
     init: bool,
     /// Refresh counter driving the sampled debug divergence check.
     refreshes: u64,
@@ -265,12 +179,12 @@ impl ConflictCache {
 
     /// Number of cached live transactions (for boundedness assertions).
     pub fn len(&self) -> usize {
-        self.entries.len
+        self.entries.len()
     }
 
     /// True when no transaction is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.len == 0
+        self.entries.is_empty()
     }
 
     // dtm-lint: hot-path

@@ -14,8 +14,8 @@
 //! * [`shortest_paths`] — Dijkstra shortest-path trees, path extraction and
 //!   diameter computation;
 //! * [`Network`] — a graph plus a tiered distance / routing oracle
-//!   (closed forms, dense table, lazy per-target trees, or landmark
-//!   estimates), the object every scheduler and the simulator talk to;
+//!   (closed forms, lazy per-target trees, or landmark estimates), the
+//!   object every scheduler and the simulator talk to;
 //! * [`oracle`] — the landmark (ALT-style) approximate oracle tier that
 //!   scales routing to 10⁵–10⁶-node networks;
 //! * [`topology`] — generators for the specialized architectures the paper

@@ -5,20 +5,18 @@
 //!
 //! 1. **Structured** — closed-form answers for the paper's named
 //!    topologies ([`crate::structured`]), any size.
-//! 2. **Dense** (`n ≤ 256`) — an `n × n` all-pairs table built from
-//!    per-target Dijkstra trees, so the hot `distance` / `next_hop` calls
-//!    are two flat array reads. Byte-identical to the lazy tier.
-//! 3. **Lazy trees** (`n ≤ 4096`) — one exact Dijkstra shortest-path tree
-//!    per *target* node, computed on first use (routing in the data-flow
-//!    model is always "toward the next requesting transaction", so trees
-//!    are naturally keyed by destination).
-//! 4. **Landmark** (`n > 4096`) — the approximate
+//! 2. **Lazy trees** (`n ≤ 4096`) — one exact Dijkstra shortest-path tree
+//!    per *target* node, computed once on first use and then read without
+//!    a lock (routing in the data-flow model is always "toward the next
+//!    requesting transaction", so trees are naturally keyed by
+//!    destination).
+//! 3. **Landmark** (`n > 4096`) — the approximate
 //!    [`crate::oracle::LandmarkOracle`]: distances become deterministic
 //!    upper bounds with additive stretch `≤ 2R`, and routing follows
 //!    landmark trees with memoized paths. This is the tier that carries
 //!    10⁵–10⁶-node networks.
 //!
-//! Tiers 1–3 agree exactly (tie-breaking included); the property tests in
+//! Tiers 1–2 agree exactly (tie-breaking included); the property tests in
 //! this module and in `oracle` pin both that equivalence and the landmark
 //! tier's stretch bound.
 
@@ -26,45 +24,12 @@ use crate::graph::{Graph, NodeId, Weight};
 use crate::oracle::LandmarkOracle;
 use crate::shortest_paths::ShortestPathTree;
 use crate::structured::Structured;
-use parking_lot::RwLock;
 use std::sync::{Arc, OnceLock};
-
-/// Largest unstructured graph for which the dense all-pairs fast path is
-/// materialized (`n²` table entries; 256² × 12 bytes ≈ 0.8 MB).
-const DENSE_LIMIT: usize = 256;
 
 /// Largest unstructured graph served by exact per-target shortest-path
 /// trees; beyond this the landmark oracle takes over (a full tree cache
 /// would cost `O(n)` memory *per routing target*).
 const LAZY_LIMIT: usize = 4096;
-
-/// Dense all-pairs routing table, row-major by *target* node:
-/// `dist[target.index() * n + from.index()]`. Built from the same
-/// per-target [`ShortestPathTree`]s the lazy cache would compute, so its
-/// answers (including tie-breaking) are identical by construction.
-struct DenseRouting {
-    n: usize,
-    dist: Vec<Weight>,
-    /// First hop from `from` toward `target`; `u32::MAX` on the diagonal.
-    next: Vec<u32>,
-}
-
-impl DenseRouting {
-    fn build(graph: &Graph) -> Self {
-        let n = graph.n();
-        let mut dist = vec![0; n * n];
-        let mut next = vec![u32::MAX; n * n];
-        for target in graph.nodes() {
-            let tree = ShortestPathTree::compute(graph, target);
-            let row = target.index() * n;
-            for from in graph.nodes() {
-                dist[row + from.index()] = tree.dist(from);
-                next[row + from.index()] = tree.next_hop(from).map_or(u32::MAX, |p| p.0);
-            }
-        }
-        DenseRouting { n, dist, next }
-    }
-}
 
 /// A communication graph with a distance / routing oracle.
 ///
@@ -77,14 +42,13 @@ pub struct Network {
 struct Inner {
     graph: Graph,
     structured: Option<Structured>,
-    /// Lazily computed shortest-path trees, indexed by *target* node.
-    trees: RwLock<Vec<Option<Arc<ShortestPathTree>>>>,
-    /// Dense all-pairs fast path; `None` inside once initialized means
-    /// "not applicable" (structured oracle present, or graph too large).
-    dense: OnceLock<Option<DenseRouting>>,
-    /// Landmark tier for graphs above [`LAZY_LIMIT`]; `None` inside once
-    /// initialized means "not applicable" (exact tier in charge).
-    landmark: OnceLock<Option<LandmarkOracle>>,
+    /// Shortest-path trees indexed by *target* node, each computed on
+    /// first use. One slot per node on the lazy-tree tier, empty on the
+    /// structured and landmark tiers — so non-empty *is* the tier test.
+    trees: Box<[OnceLock<ShortestPathTree>]>,
+    /// Landmark oracle, built on first use; only the landmark tier
+    /// (unstructured graphs above [`LAZY_LIMIT`]) ever asks for it.
+    landmark: OnceLock<LandmarkOracle>,
     diameter: OnceLock<Weight>,
 }
 
@@ -107,20 +71,15 @@ impl Network {
                 graph.name()
             );
         }
-        let n = graph.n();
-        // The per-target tree cache only serves tier 3; don't reserve a
-        // slot per node on structured or landmark-scale networks.
-        let tree_slots = if structured.is_some() || n > LAZY_LIMIT {
-            0
-        } else {
-            n
+        let tree_slots = match structured {
+            None if graph.n() <= LAZY_LIMIT => graph.n(),
+            _ => 0,
         };
         Network {
             inner: Arc::new(Inner {
                 graph,
                 structured,
-                trees: RwLock::new(vec![None; tree_slots]),
-                dense: OnceLock::new(),
+                trees: (0..tree_slots).map(|_| OnceLock::new()).collect(),
                 landmark: OnceLock::new(),
                 diameter: OnceLock::new(),
             }),
@@ -149,8 +108,8 @@ impl Network {
         self.inner.structured.as_ref()
     }
 
-    /// Shortest-path distance between two nodes. Exact on structured,
-    /// dense and lazy-tree tiers; on the landmark tier a deterministic
+    /// Shortest-path distance between two nodes. Exact on the structured
+    /// and lazy-tree tiers; on the landmark tier a deterministic
     /// upper bound within additive `2R` of the metric (see
     /// [`crate::oracle`]).
     // dtm-lint: hot-path
@@ -161,13 +120,10 @@ impl Network {
         if let Some(s) = &self.inner.structured {
             return s.dist(u, v);
         }
-        if let Some(d) = self.dense() {
-            return d.dist[v.index() * d.n + u.index()];
+        if !self.inner.trees.is_empty() {
+            return self.tree(v).dist(u);
         }
-        if let Some(lm) = self.landmark() {
-            return lm.distance(u, v);
-        }
-        self.tree(v).dist(u)
+        self.landmark().distance(u, v)
     }
 
     /// First hop from `from` on a shortest path toward `target` (on the
@@ -182,17 +138,13 @@ impl Network {
         if let Some(s) = &self.inner.structured {
             return s.next_hop(from, target);
         }
-        if let Some(d) = self.dense() {
-            let hop = d.next[target.index() * d.n + from.index()];
-            debug_assert_ne!(hop, u32::MAX, "connected graph routes everywhere");
-            return NodeId(hop);
+        if !self.inner.trees.is_empty() {
+            return self
+                .tree(target)
+                .next_hop(from)
+                .expect("connected graph: every node routes to every target"); // dtm-lint: allow(C1) -- Network::new rejects disconnected graphs, so every tree reaches every node
         }
-        if let Some(lm) = self.landmark() {
-            return lm.next_hop(from, target);
-        }
-        self.tree(target)
-            .next_hop(from)
-            .expect("connected graph: every node routes to every target") // dtm-lint: allow(C1) -- Network::new rejects disconnected graphs, so every tree reaches every node
+        self.landmark().next_hop(from, target)
     }
 
     /// First hop from `from` toward `target` together with that edge's
@@ -209,30 +161,22 @@ impl Network {
         let (next, w) = if let Some(s) = &self.inner.structured {
             let next = s.next_hop(from, target);
             (next, s.edge_weight(from, next))
-        } else if let Some(d) = self.dense() {
-            let row = target.index() * d.n;
-            let hop = d.next[row + from.index()];
-            debug_assert_ne!(hop, u32::MAX, "connected graph routes everywhere");
-            (
-                NodeId(hop),
-                d.dist[row + from.index()] - d.dist[row + hop as usize],
-            )
-        } else if let Some(lm) = self.landmark() {
+        } else if !self.inner.trees.is_empty() {
+            let tree = self.tree(target);
+            let next = tree
+                .next_hop(from)
+                .expect("connected graph: every node routes to every target"); // dtm-lint: allow(C1) -- Network::new rejects disconnected graphs, so every tree reaches every node
+            (next, tree.dist(from) - tree.dist(next))
+        } else {
             // Landmark distances are estimates, so the distance-drop trick
             // does not apply; hops are tree edges, read the weight directly.
-            let next = lm.next_hop(from, target);
+            let next = self.landmark().next_hop(from, target);
             let w = self
                 .inner
                 .graph
                 .edge_weight(from, next)
                 .expect("landmark-routed hops follow graph edges"); // dtm-lint: allow(C1) -- oracle paths walk shortest-path-tree edges, which are graph edges by construction
             (next, w)
-        } else {
-            let tree = self.tree(target);
-            let next = tree
-                .next_hop(from)
-                .expect("connected graph: every node routes to every target"); // dtm-lint: allow(C1) -- Network::new rejects disconnected graphs, so every tree reaches every node
-            (next, tree.dist(from) - tree.dist(next))
         };
         debug_assert_eq!(
             Some(w),
@@ -262,10 +206,10 @@ impl Network {
         *self.inner.diameter.get_or_init(|| {
             if let Some(s) = &self.inner.structured {
                 s.diameter()
-            } else if let Some(lm) = self.landmark() {
-                lm.diameter_bound()
-            } else {
+            } else if !self.inner.trees.is_empty() {
                 crate::shortest_paths::diameter(&self.inner.graph)
+            } else {
+                self.landmark().diameter_bound()
             }
         })
     }
@@ -285,19 +229,17 @@ impl Network {
     }
 
     /// Which tier answers this network's distance/next-hop queries:
-    /// `"structured"` (closed-form), `"dense"` (all-pairs table),
-    /// `"landmark"` (approximate oracle) or `"lazy-tree"` (on-demand
-    /// shortest-path trees). Purely a function of the construction
-    /// parameters — nothing is built to answer this.
+    /// `"structured"` (closed-form), `"lazy-tree"` (on-demand
+    /// shortest-path trees) or `"landmark"` (approximate oracle). Purely a
+    /// function of the construction parameters — nothing is built to
+    /// answer this.
     pub fn routing_tier(&self) -> &'static str {
         if self.inner.structured.is_some() {
             "structured"
-        } else if self.inner.graph.n() <= DENSE_LIMIT {
-            "dense"
-        } else if self.inner.graph.n() > LAZY_LIMIT {
-            "landmark"
-        } else {
+        } else if !self.inner.trees.is_empty() {
             "lazy-tree"
+        } else {
+            "landmark"
         }
     }
 
@@ -306,45 +248,26 @@ impl Network {
     /// covering radius) on the landmark tier. Forces the oracle build on
     /// first call for landmark-tier networks.
     pub fn distance_slack(&self) -> Weight {
-        match self.landmark() {
-            Some(lm) => lm.stretch_radius().saturating_mul(2),
-            None => 0,
+        if self.routing_tier() == "landmark" {
+            self.landmark().stretch_radius().saturating_mul(2)
+        } else {
+            0
         }
     }
 
-    /// The dense all-pairs table, built on first use for unstructured
-    /// graphs with at most [`DENSE_LIMIT`] nodes; `None` otherwise.
-    fn dense(&self) -> Option<&DenseRouting> {
-        self.inner
-            .dense
-            .get_or_init(|| {
-                (self.inner.structured.is_none() && self.inner.graph.n() <= DENSE_LIMIT)
-                    .then(|| DenseRouting::build(&self.inner.graph))
-            })
-            .as_ref()
-    }
-
-    /// The landmark oracle, built on first use for unstructured graphs
-    /// above [`LAZY_LIMIT`] nodes; `None` otherwise.
-    fn landmark(&self) -> Option<&LandmarkOracle> {
+    /// The landmark oracle, built on first use. Callers are on the
+    /// landmark tier: unstructured, with no tree slots.
+    fn landmark(&self) -> &LandmarkOracle {
         self.inner
             .landmark
-            .get_or_init(|| {
-                (self.inner.structured.is_none() && self.inner.graph.n() > LAZY_LIMIT)
-                    .then(|| LandmarkOracle::build(&self.inner.graph))
-            })
-            .as_ref()
+            .get_or_init(|| LandmarkOracle::build(&self.inner.graph))
     }
 
-    /// Shortest-path tree toward `target`, computing and caching on demand.
-    fn tree(&self, target: NodeId) -> Arc<ShortestPathTree> {
-        if let Some(t) = &self.inner.trees.read()[target.index()] {
-            return Arc::clone(t);
-        }
-        let tree = Arc::new(ShortestPathTree::compute(&self.inner.graph, target));
-        let mut guard = self.inner.trees.write();
-        // A racing writer may have filled the slot; keep the first value.
-        Arc::clone(guard[target.index()].get_or_insert(tree))
+    /// Shortest-path tree toward `target`, computed on first use and read
+    /// lock-free afterwards.
+    fn tree(&self, target: NodeId) -> &ShortestPathTree {
+        self.inner.trees[target.index()]
+            .get_or_init(|| ShortestPathTree::compute(&self.inner.graph, target))
     }
 }
 
@@ -427,53 +350,39 @@ mod tests {
     }
 
     #[test]
-    fn dense_fast_path_matches_trees() {
-        // Random weighted graph small enough for the dense table: every
-        // distance/next_hop answer must equal the per-target tree's.
-        let net = crate::topology::random(24, 3, 5, 42);
-        assert!(net.dense().is_some(), "small unstructured graph is dense");
-        for t in 0..24u32 {
-            let tree = ShortestPathTree::compute(net.graph(), NodeId(t));
-            for u in 0..24u32 {
-                assert_eq!(net.distance(NodeId(u), NodeId(t)), tree.dist(NodeId(u)));
-                if u != t {
-                    assert_eq!(
-                        net.next_hop(NodeId(u), NodeId(t)),
-                        tree.next_hop(NodeId(u)).unwrap()
-                    );
+    fn lazy_trees_match_fresh_reference_trees() {
+        // Random weighted graphs below and above 256 nodes: every
+        // distance/next_hop/hop_toward answer must equal a freshly
+        // computed per-target tree's, tie-breaks included.
+        for (n, seed) in [(24, 42), (300, 7)] {
+            let net = crate::topology::random(n, 3, 5, seed);
+            assert_eq!(net.routing_tier(), "lazy-tree");
+            for t in (0..n).map(NodeId) {
+                let tree = ShortestPathTree::compute(net.graph(), t);
+                for u in (0..n).map(NodeId) {
+                    assert_eq!(net.distance(u, t), tree.dist(u));
+                    if u != t {
+                        let next = tree.next_hop(u).unwrap();
+                        assert_eq!(net.next_hop(u, t), next);
+                        assert_eq!(net.hop_toward(u, t), (next, tree.dist(u) - tree.dist(next)));
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn dense_fast_path_gating() {
-        // Structured topologies answer via closed forms: no dense table.
-        let net = crate::topology::hypercube(4);
-        let _ = net.distance(NodeId(0), NodeId(5));
-        assert!(net.dense().is_none());
-        // Graphs above the size limit fall back to the lazy tree cache.
-        let mut g = Graph::new(DENSE_LIMIT + 1, "bigpath");
-        for u in 0..DENSE_LIMIT as u32 {
-            g.add_edge(NodeId(u), NodeId(u + 1), 1).unwrap();
-        }
-        let net = Network::new(g, None);
-        assert_eq!(net.distance(NodeId(0), NodeId(10)), 10);
-        assert!(net.dense().is_none());
-    }
-
-    #[test]
     fn hop_toward_matches_next_hop_and_edge_weight() {
-        // All three oracle backends: structured (hypercube), dense table
-        // (small unstructured), lazy trees (above the dense limit).
+        // Structured closed forms (hypercube, cluster) and lazy trees
+        // (random graph, long weighted path).
         let nets = [
             crate::topology::hypercube(4),
             // Cluster exercises the one non-unit edge weight (γ bridges).
             crate::topology::cluster(4, 5, 9),
             crate::topology::random(24, 3, 5, 7),
             {
-                let mut g = Graph::new(DENSE_LIMIT + 1, "bigpath");
-                for u in 0..DENSE_LIMIT as u32 {
+                let mut g = Graph::new(257, "bigpath");
+                for u in 0..256u32 {
                     g.add_edge(NodeId(u), NodeId(u + 1), 1 + u as u64 % 3)
                         .unwrap();
                 }
@@ -505,8 +414,7 @@ mod tests {
                 .unwrap();
         }
         let net = Network::new(b.build(), None);
-        assert!(net.dense().is_none());
-        assert!(net.landmark().is_some(), "big graph uses the landmark tier");
+        assert_eq!(net.routing_tier(), "landmark");
         // On a path the true metric is the prefix-weight difference; the
         // oracle must upper-bound it within additive 2R, stay symmetric,
         // and route at a total cost within its own promise.
@@ -518,7 +426,7 @@ mod tests {
             }
             p
         };
-        let r2 = 2 * net.landmark().unwrap().stretch_radius();
+        let r2 = 2 * net.landmark().stretch_radius();
         for (u, v) in [(0u32, 17u32), (4_000, 13), (900, 901), (2_048, 4_100)] {
             let truth = prefix[u.max(v) as usize] - prefix[u.min(v) as usize];
             let est = net.distance(NodeId(u), NodeId(v));

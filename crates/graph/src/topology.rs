@@ -222,6 +222,25 @@ impl Topology {
     }
 }
 
+/// Names [`by_name`] accepts, in the order tools list them.
+pub const NAMES: [&str; 6] = ["clique", "line", "grid", "hypercube", "star", "cluster"];
+
+/// The fixed-size named instances the trace tools and examples share:
+/// `clique` (24 nodes), `line` (48), `grid` (6×6), `hypercube` (dim 5),
+/// `star` (4 rays of 8) and `cluster` (4 cliques of 5, bridge weight 6).
+/// `None` for any other name (see [`NAMES`]).
+pub fn by_name(name: &str) -> Option<Network> {
+    Some(match name {
+        "clique" => clique(24),
+        "line" => line(48),
+        "grid" => grid(&[6, 6]),
+        "hypercube" => hypercube(5),
+        "star" => star(4, 8),
+        "cluster" => cluster(4, 5, 6),
+        _ => return None,
+    })
+}
+
 /// Add an edge inside a builder. Builders only link nodes they have
 /// already allocated and never repeat an edge, so a failure here is a
 /// generator bug, not an input condition.
@@ -637,6 +656,17 @@ mod tests {
                     net.name()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn by_name_knows_exactly_the_listed_names() {
+        for name in NAMES {
+            let net = by_name(name).expect("listed name builds");
+            assert!(net.name().starts_with(name), "{name} -> {}", net.name());
+        }
+        for bad in ["torus", "Grid", "", "grid "] {
+            assert!(by_name(bad).is_none(), "{bad:?} must be rejected");
         }
     }
 

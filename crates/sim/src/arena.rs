@@ -23,97 +23,136 @@ use crate::state::{LiveTxn, ObjectState};
 use dtm_model::{ObjectId, TxnId};
 use std::collections::VecDeque;
 
-/// Sentinel for a dead id slot in [`IdIndex`].
-const NO_SLOT: u32 = u32::MAX;
-
-/// Live-id → slot map, stored as a dense sliding window.
+/// Map from [`TxnId`] to `T`, stored as a dense sliding id window.
 ///
 /// Transaction ids are handed out monotonically and the live set is a
-/// bounded window of that sequence, so the id index does not need an
-/// ordered tree: slot numbers live in a `VecDeque` indexed by
-/// `id - base` (with [`NO_SLOT`] marking dead ids), giving O(1)
-/// lookup/insert/remove on the engine's hot path. Dead entries at the
-/// front are trimmed on removal, so memory stays O(live id window) —
-/// the same boundedness story as the slot free list. Iteration walks
-/// the window front-to-back: ascending id, exactly the order of the
-/// `BTreeMap` this replaces (pinned by the golden traces).
-#[derive(Clone, Debug, Default)]
-struct IdIndex {
+/// bounded window of that sequence, so a live-id map does not need an
+/// ordered tree: values live in a `VecDeque` indexed by `id - base`
+/// (`None` marking dead ids), giving O(1) get/insert/remove on the
+/// engine's hot path. Dead entries at the front are trimmed on removal,
+/// so memory stays O(live id window) no matter how many transactions
+/// stream through. Iteration walks the window front-to-back: ascending
+/// id, exactly the order of the `BTreeMap`s this replaces (pinned by the
+/// golden traces). The one id-window type of the workspace: the
+/// [`TxnArena`] slot index and `dtm-core`'s conflict cache both use it.
+#[derive(Clone, Debug)]
+pub struct IdWindow<T> {
     /// TxnId of `slots[0]`; meaningful only while `slots` is non-empty.
     base: u64,
-    slots: VecDeque<u32>,
+    slots: VecDeque<Option<T>>,
     len: usize,
 }
 
-impl IdIndex {
-    #[inline]
-    fn get(&self, id: TxnId) -> Option<u32> {
-        let idx = id.0.checked_sub(self.base)? as usize;
-        match self.slots.get(idx) {
-            Some(&s) if s != NO_SLOT => Some(s),
-            _ => None,
+impl<T> Default for IdWindow<T> {
+    fn default() -> Self {
+        IdWindow {
+            base: 0,
+            slots: VecDeque::new(),
+            len: 0,
         }
     }
+}
 
-    fn insert(&mut self, id: TxnId, slot: u32) {
-        debug_assert_ne!(slot, NO_SLOT);
+impl<T> IdWindow<T> {
+    /// Number of live ids.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no id is live.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Value stored for `id`.
+    #[inline]
+    pub fn get(&self, id: TxnId) -> Option<&T> {
+        let idx = id.0.checked_sub(self.base)? as usize;
+        self.slots.get(idx)?.as_ref()
+    }
+
+    /// Mutable value stored for `id`.
+    #[inline]
+    pub fn get_mut(&mut self, id: TxnId) -> Option<&mut T> {
+        let idx = id.0.checked_sub(self.base)? as usize;
+        self.slots.get_mut(idx)?.as_mut()
+    }
+
+    /// Store `value` for `id`, returning the value it replaces.
+    pub fn insert(&mut self, id: TxnId, value: T) -> Option<T> {
         if self.slots.is_empty() {
             self.base = id.0;
         } else if id.0 < self.base {
             // Out-of-order low id (hand-built harness states): grow the
             // window's front.
             for _ in id.0..self.base {
-                self.slots.push_front(NO_SLOT);
+                self.slots.push_front(None);
             }
             self.base = id.0;
         }
         let idx = (id.0 - self.base) as usize;
         if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, NO_SLOT);
+            self.slots.resize_with(idx + 1, || None);
         }
-        if std::mem::replace(&mut self.slots[idx], slot) == NO_SLOT {
+        let prev = self.slots[idx].replace(value);
+        if prev.is_none() {
             self.len += 1;
         }
+        prev
     }
 
-    fn remove(&mut self, id: TxnId) -> Option<u32> {
+    /// Remove `id`, returning its value.
+    pub fn remove(&mut self, id: TxnId) -> Option<T> {
         let idx = id.0.checked_sub(self.base)? as usize;
-        let s = self.slots.get_mut(idx)?;
-        let prev = std::mem::replace(s, NO_SLOT);
-        if prev == NO_SLOT {
-            return None;
-        }
+        let value = self.slots.get_mut(idx)?.take()?;
         self.len -= 1;
         // Trim the dead front so `base` tracks the live window.
-        while let Some(&NO_SLOT) = self.slots.front() {
+        while let Some(None) = self.slots.front() {
             self.slots.pop_front();
             self.base += 1;
         }
-        Some(prev)
+        Some(value)
     }
 
-    /// `(id, slot)` pairs in ascending id order.
-    fn iter(&self) -> IdIndexIter<'_> {
-        IdIndexIter {
+    /// Remove every id.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.base = 0;
+        self.len = 0;
+    }
+
+    /// `(id, value)` pairs in ascending id order.
+    pub fn iter(&self) -> IdWindowIter<'_, T> {
+        IdWindowIter {
             base: self.base,
             inner: self.slots.iter().enumerate(),
         }
     }
 }
 
-/// Ascending-id iterator over an [`IdIndex`].
-struct IdIndexIter<'a> {
-    base: u64,
-    inner: std::iter::Enumerate<std::collections::vec_deque::Iter<'a, u32>>,
+/// Window placement (`base`, dead-slot padding) is an implementation
+/// detail: two windows are equal when they hold the same entries.
+impl<T: PartialEq> PartialEq for IdWindow<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
 }
 
-impl Iterator for IdIndexIter<'_> {
-    type Item = (TxnId, u32);
+impl<T: Eq> Eq for IdWindow<T> {}
+
+/// Ascending-id iterator over an [`IdWindow`].
+pub struct IdWindowIter<'a, T> {
+    base: u64,
+    inner: std::iter::Enumerate<std::collections::vec_deque::Iter<'a, Option<T>>>,
+}
+
+impl<'a, T> Iterator for IdWindowIter<'a, T> {
+    type Item = (TxnId, &'a T);
 
     fn next(&mut self) -> Option<Self::Item> {
-        for (i, &s) in self.inner.by_ref() {
-            if s != NO_SLOT {
-                return Some((TxnId(self.base + i as u64), s));
+        for (i, slot) in self.inner.by_ref() {
+            if let Some(v) = slot {
+                return Some((TxnId(self.base + i as u64), v));
             }
         }
         None
@@ -143,7 +182,7 @@ pub struct TxnArena {
     /// Recycled slot indices, reused LIFO.
     free: Vec<u32>,
     /// Live id → occupied slot, in ascending id order.
-    index: IdIndex,
+    index: IdWindow<u32>,
     /// Largest concurrent live-set size ever observed.
     peak_live: usize,
     /// Largest slot-table length ever observed (monotone; survives
@@ -159,18 +198,18 @@ impl TxnArena {
 
     /// Number of live transactions.
     pub fn len(&self) -> usize {
-        self.index.len
+        self.index.len()
     }
 
     /// True if no transaction is live.
     pub fn is_empty(&self) -> bool {
-        self.index.len == 0
+        self.index.is_empty()
     }
 
     /// Look up a live transaction.
     #[inline]
     pub fn get(&self, id: TxnId) -> Option<&LiveTxn> {
-        let slot = self.index.get(id)?;
+        let &slot = self.index.get(id)?;
         self.slots[slot as usize].as_ref()
     }
 
@@ -178,7 +217,7 @@ impl TxnArena {
     /// set (the requester index in [`RuntimeState`] is keyed by it).
     #[inline]
     pub fn get_mut(&mut self, id: TxnId) -> Option<&mut LiveTxn> {
-        let slot = self.index.get(id)?;
+        let &slot = self.index.get(id)?;
         self.slots[slot as usize].as_mut()
     }
 
@@ -206,7 +245,7 @@ impl TxnArena {
         self.generations[i] = self.generations[i].wrapping_add(1);
         self.index.insert(id, slot);
         self.slots[i] = Some(lt);
-        self.peak_live = self.peak_live.max(self.index.len);
+        self.peak_live = self.peak_live.max(self.index.len());
         self.high_water = self.high_water.max(self.slots.len());
     }
 
@@ -228,7 +267,7 @@ impl TxnArena {
     pub fn generation(&self, id: TxnId) -> u32 {
         self.index
             .get(id)
-            .map(|s| self.generations[s as usize])
+            .map(|&s| self.generations[s as usize])
             .unwrap_or(0)
     }
 
@@ -260,7 +299,7 @@ impl TxnArena {
         let keep = self
             .index
             .iter()
-            .map(|(_, s)| s as usize + 1)
+            .map(|(_, &s)| s as usize + 1)
             .max()
             .unwrap_or(0);
         self.slots.truncate(keep);
@@ -287,7 +326,7 @@ impl TxnArena {
 
 /// Id-ordered iterator over a [`TxnArena`].
 pub struct TxnIter<'a> {
-    index: IdIndexIter<'a>,
+    index: IdWindowIter<'a, u32>,
     slots: &'a [Option<LiveTxn>],
 }
 
@@ -295,7 +334,7 @@ impl<'a> Iterator for TxnIter<'a> {
     type Item = &'a LiveTxn;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (_, slot) = self.index.next()?;
+        let (_, &slot) = self.index.next()?;
         self.slots[slot as usize].as_ref()
     }
 
@@ -518,6 +557,30 @@ mod tests {
             place: ObjectPlace::At(NodeId(0)),
             last_holder: None,
         }
+    }
+
+    #[test]
+    fn id_window_trims_front_and_compares_by_content() {
+        let mut w = IdWindow::default();
+        for id in [10u64, 12, 7] {
+            assert_eq!(w.insert(TxnId(id), id * 2), None);
+        }
+        assert_eq!(w.insert(TxnId(12), 0), Some(24));
+        assert_eq!(w.len(), 3);
+        assert_eq!(w.remove(TxnId(7)), Some(14));
+        assert_eq!(w.remove(TxnId(7)), None);
+        *w.get_mut(TxnId(10)).unwrap() += 1;
+        let pairs: Vec<(u64, u64)> = w.iter().map(|(id, &v)| (id.0, v)).collect();
+        assert_eq!(pairs, vec![(10, 21), (12, 0)]);
+        // Same entries, different window placement: still equal.
+        let mut fresh = IdWindow::default();
+        fresh.insert(TxnId(12), 0);
+        fresh.insert(TxnId(10), 21);
+        assert_eq!(w, fresh);
+        fresh.remove(TxnId(12));
+        assert_ne!(w, fresh);
+        w.clear();
+        assert!(w.is_empty() && w.get(TxnId(10)).is_none());
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub struct ForwardingTable {
 
 impl ForwardingTable {
     /// Largest node count for which per-object dense rows are used.
-    /// Matches the spirit of the routing layer's dense fast path: small
-    /// graphs get arrays, huge graphs get ordered maps.
+    /// The same cut as the routing layer's exact lazy-tree tier: graphs
+    /// up to 4096 nodes get arrays, larger ones get ordered maps.
     pub const DENSE_NODE_LIMIT: usize = 4096;
 
     /// An empty table for a graph of `nodes` nodes.

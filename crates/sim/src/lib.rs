@@ -46,7 +46,7 @@ pub mod policy;
 pub mod state;
 pub mod validate;
 
-pub use arena::{ObjectArena, RuntimeState, TxnArena};
+pub use arena::{IdWindow, ObjectArena, RuntimeState, TxnArena};
 pub use effects::{Delivery, Departure, StepEffects};
 pub use engine::{run_policy, Engine, EngineConfig, Retention};
 pub use events::Event;

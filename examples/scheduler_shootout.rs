@@ -4,6 +4,7 @@
 //! ```text
 //! cargo run -p dtm-examples --release --bin scheduler_shootout -- [topology]
 //! # topology: clique | line | grid | hypercube | star | cluster (default: grid)
+//! # any other name exits 2
 //! ```
 
 use dtm_core::{BucketPolicy, DistributedBucketPolicy, FifoPolicy, GreedyPolicy, TspPolicy};
@@ -11,17 +12,6 @@ use dtm_graph::{topology, Network};
 use dtm_model::{ClosedLoopSource, WorkloadSpec};
 use dtm_offline::{ClusterScheduler, LineScheduler, ListScheduler, StarScheduler};
 use dtm_sim::{run_policy, EngineConfig, RunResult, SchedulingPolicy};
-
-fn pick_network(name: &str) -> Network {
-    match name {
-        "clique" => topology::clique(24),
-        "line" => topology::line(48),
-        "hypercube" => topology::hypercube(5),
-        "star" => topology::star(4, 8),
-        "cluster" => topology::cluster(4, 5, 6),
-        _ => topology::grid(&[6, 6]),
-    }
-}
 
 fn bucket_for(net: &Network) -> Box<dyn SchedulingPolicy> {
     use dtm_graph::Structured;
@@ -49,7 +39,13 @@ fn run_one(
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "grid".into());
-    let net = pick_network(&arg);
+    let Some(net) = topology::by_name(&arg) else {
+        eprintln!(
+            "scheduler_shootout: unknown topology {arg:?}; expected one of: {}",
+            topology::NAMES.join(", ")
+        );
+        std::process::exit(2);
+    };
     let spec = WorkloadSpec::batch_uniform((net.n() as u32 / 2).max(2), 2);
     println!(
         "{} ({} nodes, diameter {}), closed-loop workload, k=2\n",
