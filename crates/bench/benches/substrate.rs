@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks of the substrates: shortest paths, sparse
 //! cover construction, weighted coloring, batch scheduling, lower bounds,
-//! the runtime-state query layer and a full engine run. These dominate
-//! each simulated "time step" in practice.
+//! the runtime-state query layer, open-loop arrival generation and a full
+//! engine run. These dominate each simulated "time step" in practice.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dtm_core::{smallest_valid_color, ColorConstraint, GreedyPolicy};
 use dtm_graph::{topology, NodeId, ShortestPathTree, SparseCover};
 use dtm_model::{
-    FiniteArrivals, ObjectChoice, ObjectId, ObjectInfo, TraceSource, Transaction, TxnId,
-    WorkloadGenerator, WorkloadSpec,
+    ArrivalProcess, FiniteArrivals, ObjectChoice, ObjectId, ObjectInfo, OpenLoopSource,
+    TraceSource, Transaction, TxnId, WorkloadGenerator, WorkloadSource, WorkloadSpec,
 };
 use dtm_offline::{batch_lower_bound, BatchContext, BatchScheduler, ListScheduler};
 use dtm_sim::{
@@ -226,6 +226,31 @@ fn bench_engine_run(c: &mut Criterion) {
     );
 }
 
+/// 1000 ticks of an open-loop Poisson source at ρ=0.4 on a 10⁴-node
+/// geometric graph: one Bernoulli draw per node per tick, ~400 arrivals.
+/// The source runs on across iterations (Poisson is stateless in `t`),
+/// so no construction is timed.
+fn bench_open_loop_tick(c: &mut Criterion) {
+    let mut src = OpenLoopSource::new(
+        topology::geometric(10_000, 4, 18),
+        WorkloadSpec::batch_uniform(2000, 1),
+        ArrivalProcess::Poisson { rate: 0.4 },
+        2026,
+    );
+    let mut out = Vec::new();
+    let mut t = 0;
+    c.bench_function("substrate/model/open-loop-tick-geometric10k", |b| {
+        b.iter(|| {
+            out.clear();
+            for _ in 0..1000 {
+                src.arrivals_into(t, &mut out);
+                t += 1;
+            }
+            std::hint::black_box(out.len())
+        })
+    });
+}
+
 /// Scale-decade rows for the CSR spine and the landmark oracle (ledger
 /// rows under `substrate/scale/` carry a `nodes` field in
 /// BENCH_substrate.json). Measures, per decade: full generator+Network
@@ -273,6 +298,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_dijkstra, bench_sparse_cover, bench_coloring, bench_list_scheduler, bench_lower_bound, bench_requesters_of, bench_engine_run, bench_scale
+    targets = bench_dijkstra, bench_sparse_cover, bench_coloring, bench_list_scheduler, bench_lower_bound, bench_requesters_of, bench_open_loop_tick, bench_engine_run, bench_scale
 }
 criterion_main!(benches);

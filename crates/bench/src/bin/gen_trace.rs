@@ -7,8 +7,8 @@
 //! # defaults: grid 12 2 0.2 30 1
 //! ```
 //!
-//! An unknown topology or a non-numeric argument exits 2 with a
-//! diagnostic.
+//! An unknown topology, a non-numeric argument or a non-finite or
+//! negative rate exits 2 with a diagnostic.
 //!
 //! Replay with `run_trace`.
 
@@ -38,6 +38,9 @@ fn main() {
     let num_objects: u32 = arg(&args, 2, "num_objects", 12);
     let k: usize = arg(&args, 3, "k", 2);
     let rate: f64 = arg(&args, 4, "rate", 0.2);
+    if !(rate.is_finite() && rate >= 0.0) {
+        fail(&format!("rate must be finite and non-negative, got {rate}"));
+    }
     let horizon: u64 = arg(&args, 5, "horizon", 30);
     let seed: u64 = arg(&args, 6, "seed", 1);
 

@@ -63,6 +63,11 @@ fn main() {
     let rate: f64 = flag_value(&args, "--rate")
         .map(|v| v.parse().unwrap_or_else(|_| fail("--rate takes a number")))
         .unwrap_or(0.3);
+    if !(rate.is_finite() && rate >= 0.0) {
+        fail(&format!(
+            "--rate must be finite and non-negative, got {rate}"
+        ));
+    }
     let out = PathBuf::from(
         flag_value(&args, "--out").unwrap_or_else(|| "long-haul-artifacts".to_string()),
     );

@@ -1,8 +1,8 @@
 //! Regression tests for the report and trace binaries' input handling:
-//! `trace_report`, `flight_report`, `gen_trace` and `run_trace` must fail
-//! *gracefully* — an error message on stderr and exit code 2, never a
-//! panic — on missing, empty, truncated or malformed input and on
-//! unknown names, and must process valid input.
+//! `trace_report`, `flight_report`, `gen_trace`, `run_trace` and
+//! `long_haul` must fail *gracefully* — an error message on stderr and
+//! exit code 2, never a panic — on missing, empty, truncated or malformed
+//! input, on unknown names and on bad rates, and must process valid input.
 
 use dtm_sim::{StepEffects, StepObserver};
 use std::path::PathBuf;
@@ -103,6 +103,27 @@ fn gen_trace_fails_gracefully_on_bad_input() {
         &run_bin(exe, &["grid", "12", "2", "fast"]),
         "non-numeric rate",
     );
+    for rate in ["nan", "inf", "-0.1"] {
+        assert_graceful(&run_bin(exe, &["grid", "12", "2", rate]), rate);
+    }
+}
+
+#[test]
+fn long_haul_fails_gracefully_on_bad_rate() {
+    let exe = env!("CARGO_BIN_EXE_long_haul");
+    let out = std::env::temp_dir().join(format!("dtm-long-haul-{}", std::process::id()));
+    for rate in ["nan", "inf", "-1"] {
+        let args = [
+            "--steps",
+            "10",
+            "--rate",
+            rate,
+            "--out",
+            out.to_str().unwrap(),
+        ];
+        assert_graceful(&run_bin(exe, &args), rate);
+    }
+    assert!(!out.exists(), "a rejected rate still wrote artifacts");
 }
 
 #[test]

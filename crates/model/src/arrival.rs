@@ -15,12 +15,19 @@
 //! produces no arrivals — the steady-state tick path stays
 //! allocation-free through quiet periods (pinned by the
 //! `alloc_steady_state` integration test).
+//!
+//! The randomized processes thin per node: one `gen_bool(rate / n)`
+//! draw per node per tick, in node order. [`ChaCha8Rng::bernoulli_run`]
+//! makes exactly those draws, but scans the generator's buffered words
+//! for the next success instead of testing one node at a time, so a
+//! tick costs one pass over n words and no per-node calls.
 
 use crate::generator::WorkloadSpec;
 use crate::ids::{ObjectId, Time, TxnId};
 use crate::instance::ObjectInfo;
 use crate::txn::Transaction;
 use dtm_graph::{Network, NodeId};
+use rand::distributions::Bernoulli;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -125,16 +132,23 @@ impl ArrivalProcess {
 }
 
 /// Per-node Bernoulli thinning at system rate `rate`: node `v` injects
-/// with probability `rate / n`, drawn in ascending node order.
+/// with probability `rate / n`, drawn in ascending node order — one
+/// `gen_bool` draw per node, scanned in runs by
+/// [`ChaCha8Rng::bernoulli_run`].
+///
+/// # Panics
+/// Panics if `rate` is NaN.
 fn bernoulli_thin(rate: f64, n: usize, rng: &mut ChaCha8Rng, out: &mut Vec<NodeId>) {
     let p = (rate / n.max(1) as f64).clamp(0.0, 1.0);
     if p == 0.0 {
         return;
     }
-    for v in 0..n {
-        if rng.gen_bool(p) {
-            out.push(NodeId::from_index(v));
-        }
+    // dtm-lint: allow(C1) -- documented panic: p is clamped to [0, 1], so only a NaN rate fails
+    let bernoulli = Bernoulli::new(p).expect("arrival rate is a number");
+    let mut v = rng.bernoulli_run(bernoulli, n);
+    while v < n {
+        out.push(NodeId::from_index(v));
+        v += 1 + rng.bernoulli_run(bernoulli, n - v - 1);
     }
 }
 

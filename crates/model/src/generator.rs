@@ -10,6 +10,7 @@ use crate::ids::{ObjectId, Time, TxnId};
 use crate::instance::{Instance, ObjectInfo};
 use crate::txn::Transaction;
 use dtm_graph::{Network, NodeId, Weight};
+use rand::distributions::Bernoulli;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -238,6 +239,9 @@ impl WorkloadGenerator {
     }
 
     /// Generate a full instance according to the spec's arrival process.
+    ///
+    /// # Panics
+    /// Panics if a [`FiniteArrivals::Bernoulli`] rate is NaN.
     pub fn generate(&mut self, network: &Network) -> Instance {
         let objects = self.place_objects(network);
         let n = network.n();
@@ -250,12 +254,16 @@ impl WorkloadGenerator {
                 }
             }
             FiniteArrivals::Bernoulli { rate, horizon } => {
-                let rate = rate.clamp(0.0, 1.0);
+                // One draw per node per step; each hit's object draws
+                // follow its own draw in the stream.
+                let bernoulli = Bernoulli::new(rate.clamp(0.0, 1.0))
+                    // dtm-lint: allow(C1) -- documented panic: the rate is clamped to [0, 1], so only NaN fails
+                    .expect("arrival rate is a number");
                 for step in 0..horizon {
-                    for v in 0..n {
-                        if self.rng.gen_bool(rate) {
-                            txns.push(self.gen_txn(NodeId::from_index(v), step, &objects, network));
-                        }
+                    let mut v = self.rng.bernoulli_run(bernoulli, n);
+                    while v < n {
+                        txns.push(self.gen_txn(NodeId::from_index(v), step, &objects, network));
+                        v += 1 + self.rng.bernoulli_run(bernoulli, n - v - 1);
                     }
                 }
             }
