@@ -255,7 +255,8 @@ fn bench_open_loop_tick(c: &mut Criterion) {
 /// rows under `substrate/scale/` carry a `nodes` field in
 /// BENCH_substrate.json). Measures, per decade: full generator+Network
 /// construction, the one-time landmark-oracle build (k shortest-path
-/// trees on the CSR graph), and steady-state oracle distance queries.
+/// trees on the CSR graph), steady-state oracle distance queries, and
+/// 1024 fixed pairs routed to completion through `hop_toward`.
 fn bench_scale(c: &mut Criterion) {
     for &n in &[10_000u32, 100_000] {
         c.bench_function(&format!("substrate/scale/geometric-build-n{n}"), |b| {
@@ -283,6 +284,28 @@ fn bench_scale(c: &mut Criterion) {
                     u = u.wrapping_add(stride * 7 + 1) % n;
                 }
                 std::hint::black_box(acc)
+            })
+        });
+        let pairs: Vec<(NodeId, NodeId)> = (0..1024u32)
+            .map(|i| {
+                let u = i.wrapping_mul(2_654_435_761) % n;
+                let v = (i.wrapping_mul(40_503) + n / 2) % n;
+                (NodeId(u), NodeId(v))
+            })
+            .filter(|(u, v)| u != v)
+            .collect();
+        c.bench_function(&format!("substrate/scale/landmark-route-n{n}"), |b| {
+            b.iter(|| {
+                let mut cost = 0u64;
+                for &(u, v) in &pairs {
+                    let mut cur = u;
+                    while cur != v {
+                        let (next, w) = net.hop_toward(cur, v);
+                        cost += w;
+                        cur = next;
+                    }
+                }
+                std::hint::black_box(cost)
             })
         });
     }

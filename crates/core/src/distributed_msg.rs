@@ -8,8 +8,10 @@
 //!   creation metadata); it sends a `Find` toward each origin, and the
 //!   message **chases** the object along its forwarding trail (the
 //!   paper's "we can track objects in transit by reaching the node that
-//!   the object departs from"). Messages travel at full speed, objects at
-//!   half speed (engine `speed_divisor = 2`), so every chase converges;
+//!   the object departs from"). The policy folds that trail itself from
+//!   the departures the engine publishes each step. Messages travel at
+//!   full speed, objects at half speed (engine `speed_divisor = 2`), so
+//!   every chase converges;
 //! * each object carries a registry of the transactions that requested it
 //!   (the paper: "the object carries the information of all the
 //!   transaction locations that will use it"); a `FindReply` returns the
@@ -80,7 +82,10 @@ struct Discovery {
 /// `object_users` registries are pruned to live requesters whenever a
 /// `Find` catches its object, and `leader_fixed` retains only live
 /// transactions (top of `step`). State is O(live set + in-flight
-/// messages), safe for indefinite streaming runs.
+/// messages), plus the forwarding `trail`'s one pointer per (object,
+/// node) pair — O(objects × nodes), independent of run length — so it is
+/// safe for indefinite streaming runs.
+#[derive(Clone)]
 pub struct DistributedMsgPolicy<A> {
     scheduler: A,
     cover: SparseCover,
@@ -103,6 +108,12 @@ pub struct DistributedMsgPolicy<A> {
     /// Each leader's own past scheduling decisions (local knowledge).
     // dtm-lint: bounded -- retained entries filtered to live transactions at the top of step()
     leader_fixed: BTreeMap<ClusterId, Vec<(Transaction, Time)>>,
+    /// Node-local forwarding pointers: where each node last sent each
+    /// object, folded from [`dtm_sim::StepEffects::departed`] at the top
+    /// of `step`. Never removed: a request chasing an object must be able
+    /// to follow the trail from any node the object ever left.
+    // dtm-lint: bounded -- one pointer per (object, node) pair, overwritten in place at the top of step()
+    trail: BTreeMap<(ObjectId, NodeId), NodeId>,
     decisions: Option<DecisionTraceHandle>,
     /// Live protocol-message counter (telemetry registry handle).
     msg_counter: Option<Arc<dtm_telemetry::Counter>>,
@@ -131,6 +142,7 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
             object_users: BTreeMap::new(),
             partials: BTreeMap::new(),
             leader_fixed: BTreeMap::new(),
+            trail: BTreeMap::new(),
             decisions: None,
             msg_counter: None,
         }
@@ -161,6 +173,11 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
             allow_late_execution: true,
             ..EngineConfig::default()
         }
+    }
+
+    /// Number of (object, node) pairs holding a forwarding pointer.
+    pub fn trail_len(&self) -> usize {
+        self.trail.len()
     }
 
     fn record(&self, t: Time, txn: TxnId, exec_at: Option<Time>, kind: DecisionKind) {
@@ -230,7 +247,7 @@ impl<A: BatchScheduler> DistributedMsgPolicy<A> {
                 // chase follows a time-monotone subsequence of the
                 // object's path and converges.
                 self.record(now, txn, None, DecisionKind::DistChase { object });
-                if let Some(next) = view.forwarded_to(object, target) {
+                if let Some(&next) = self.trail.get(&(object, target)) {
                     let dist = view.network.distance(target, next).max(1);
                     self.send(
                         now + dist,
@@ -393,6 +410,12 @@ impl<A: BatchScheduler> SchedulingPolicy for DistributedMsgPolicy<A> {
             .max_level
             .get_or_insert_with(|| view.network.max_bucket_level());
         let _ = max_level;
+
+        // Extend the trail with every departure since the last call; the
+        // engine calls `step` once per tick, so this sees each departure.
+        for d in &view.step_effects().departed {
+            self.trail.insert((d.object, d.from), d.to);
+        }
 
         // Leaders forget decisions whose transactions have retired: the
         // fixed context's contract is "already-scheduled, *uncommitted*"
@@ -641,12 +664,11 @@ mod tests {
             last_holder: None,
         };
         let state = crate::state_of([], [object.clone()]);
-        // The object's trail so far: 0 -> 4 (shortcut recorded by the
-        // engine as last departures), 4 -> 5.
-        let mut fwd = dtm_sim::ForwardingTable::new(net.n());
-        fwd.insert(ObjectId(0), NodeId(0), NodeId(4));
-        fwd.insert(ObjectId(0), NodeId(4), NodeId(5));
-        let view = SystemView::from_state(10, &net, &state).with_forwarding(&fwd);
+        // The object's trail so far: 0 -> 4 (a shortcut standing in for
+        // the last departures), 4 -> 5.
+        policy.trail.insert((ObjectId(0), NodeId(0)), NodeId(4));
+        policy.trail.insert((ObjectId(0), NodeId(4)), NodeId(5));
+        let view = SystemView::from_state(10, &net, &state);
         policy.deliver(
             &view,
             Msg::Find {
@@ -679,7 +701,7 @@ mod tests {
             }
         ));
         // At n4 (t=14): object still not resting there; pointer says n5.
-        let view = SystemView::from_state(14, &net, &state).with_forwarding(&fwd);
+        let view = SystemView::from_state(14, &net, &state);
         policy.deliver(&view, queued.into_iter().next().unwrap());
         let queued = policy.inbox.remove(&15).expect("next leg queued");
         assert!(matches!(
@@ -698,7 +720,7 @@ mod tests {
                 ..object
             }],
         );
-        let view = SystemView::from_state(15, &net, &state).with_forwarding(&fwd);
+        let view = SystemView::from_state(15, &net, &state);
         policy.deliver(&view, queued.into_iter().next().unwrap());
         assert_eq!(chases(&trace.lock()), 2, "the catch is not a chase");
         assert_eq!(
@@ -733,8 +755,7 @@ mod tests {
                 last_holder: None,
             }],
         );
-        let fwd = dtm_sim::ForwardingTable::new(net.n());
-        let view = SystemView::from_state(8, &net, &state).with_forwarding(&fwd);
+        let view = SystemView::from_state(8, &net, &state);
         policy.deliver(
             &view,
             Msg::Find {

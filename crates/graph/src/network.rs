@@ -13,8 +13,8 @@
 //! 3. **Landmark** (`n > 4096`) — the approximate
 //!    [`crate::oracle::LandmarkOracle`]: distances become deterministic
 //!    upper bounds with additive stretch `≤ 2R`, and routing follows
-//!    landmark trees with memoized paths. This is the tier that carries
-//!    10⁵–10⁶-node networks.
+//!    landmark trees through flat preorder intervals, with no cache or
+//!    lock. This is the tier that carries 10⁵–10⁶-node networks.
 //!
 //! Tiers 1–2 agree exactly (tie-breaking included); the property tests in
 //! this module and in `oracle` pin both that equivalence and the landmark

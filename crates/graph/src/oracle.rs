@@ -31,40 +31,80 @@
 //! `next_hop(u, v)` walks the tree of `H(v)`: ascend from `u` toward the
 //! landmark until reaching an ancestor of `v`, then descend to `v`. The
 //! realized cost is `d(u,l) + d(l,v) − 2·d(a,l) ≤ est(u → v)` (where `a`
-//! is the meeting ancestor), so the promise above holds. Crucially the
-//! rule is *memoryless* — the hop out of `u` depends only on `(u, v)`,
-//! never on where the object started — so per-pair path caching is pure
-//! memoization: eviction can cost time but can never change an answer
-//! (which also keeps `--jobs 1` and `--jobs N` runs byte-identical even
-//! though cache contents differ).
+//! is the meeting ancestor), so the promise above holds. The rule is
+//! *memoryless* — the hop out of `u` depends only on `(u, v)`, never on
+//! where the object started — so each hop is answered from the tree
+//! alone, with no per-pair state.
+//!
+//! Each tree is laid out in preorder: `tin[x]` is `x`'s preorder index
+//! and `size[x]` its subtree size (stored side by side, so one read
+//! fetches both), so `x`'s subtree occupies the preorder interval
+//! `[tin[x], tin[x] + size[x])`, and `pre` maps an index back to its
+//! node. `u` is an ancestor of `v` iff `tin[v]` lies in `u`'s interval.
+//! If it does, the hop descends to the child whose interval holds
+//! `tin[v]`: children's intervals tile `u`'s interval after `u` itself,
+//! so the first child is `pre[tin[u] + 1]` and each next sibling starts
+//! where the previous one's interval ends. Otherwise the hop ascends to
+//! `u`'s parent. A hop is a few flat-array reads: no lock, no
+//! allocation, `O(children of u)` on the way down.
+//!
+//! The layout is built from the order in which Dijkstra settles nodes
+//! (parents before children, since weights are positive): one reverse
+//! pass sums subtree sizes, one forward pass hands each child the next
+//! free slot of its parent's interval. Memory is fixed at `tin`, `size`,
+//! `pre` and the tree's parent array — 4n `u32`s — plus the tree's
+//! distances, per landmark.
 
 use crate::graph::{Graph, NodeId, Weight};
 use crate::shortest_paths::ShortestPathTree;
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Number of landmarks sampled (capped by `n`). More landmarks tighten
 /// `R` but add a full Dijkstra + `O(n)` memory each at build time.
 pub const DEFAULT_LANDMARKS: usize = 16;
 
-/// Cached-path table capacity in entries (pairs). One entry is ~48 bytes
-/// plus its share of the shared path vector; 2²⁰ entries ≈ 64 MB worst
-/// case. When an insertion would exceed the cap the table is cleared
-/// wholesale — deterministic, and safe because entries are pure
-/// memoization (see module docs).
-const PATH_CACHE_CAP: usize = 1 << 20;
+/// One landmark's shortest-path tree and its preorder layout (see the
+/// module docs).
+struct LandmarkTree {
+    tree: ShortestPathTree,
+    /// `(tin, size)` of each node: its preorder index and subtree size
+    /// (itself included).
+    span: Box<[(u32, u32)]>,
+    /// Node at each preorder index.
+    pre: Box<[u32]>,
+}
 
-/// Cached routed paths keyed by `(current node, target)`. The value is the
-/// full remaining path (shared, so one routed journey inserts all of its
-/// suffixes at once) plus this key's position in it.
-type PathEntry = (Arc<Vec<NodeId>>, u32);
+impl LandmarkTree {
+    /// Lay out `tree` in preorder from its settle `order` of `(node,
+    /// parent)` pairs: the root first, every parent before its children.
+    /// `next` is scratch of at least `n` entries and needs no reset: each
+    /// slot is written before it is read.
+    fn new(tree: ShortestPathTree, order: &[(u32, u32)], next: &mut [u32]) -> Self {
+        let n = order.len();
+        let mut span = vec![(0u32, 1u32); n].into_boxed_slice();
+        for &(v, p) in order[1..].iter().rev() {
+            span[p as usize].1 += span[v as usize].1;
+        }
+        let mut pre = vec![0u32; n].into_boxed_slice();
+        let root = order[0].0;
+        pre[0] = root;
+        next[root as usize] = 1;
+        for &(v, p) in &order[1..] {
+            let t = next[p as usize];
+            let (tin, size) = &mut span[v as usize];
+            next[p as usize] = t + *size;
+            *tin = t;
+            pre[t as usize] = v;
+            next[v as usize] = t + 1;
+        }
+        LandmarkTree { tree, span, pre }
+    }
+}
 
-/// Landmark distance/routing oracle. Build once per network; queries are
-/// lock-free flat-array reads except for the routing path cache.
+/// Landmark distance/routing oracle. Build once per network; every query
+/// is a lock-free read of flat arrays.
 pub struct LandmarkOracle {
-    /// One shortest-path tree per landmark, indexed by landmark id.
-    trees: Vec<ShortestPathTree>,
+    /// One laid-out shortest-path tree per landmark, indexed by landmark id.
+    trees: Vec<LandmarkTree>,
     /// Home landmark index of each node (nearest, ties to smaller index).
     home: Vec<u16>,
     /// Distance from each node to its home landmark.
@@ -73,7 +113,6 @@ pub struct LandmarkOracle {
     radius: Weight,
     /// Upper bound on both the true diameter and any reported distance.
     diameter_bound: Weight,
-    cache: RwLock<BTreeMap<(NodeId, NodeId), PathEntry>>,
 }
 
 impl LandmarkOracle {
@@ -92,12 +131,15 @@ impl LandmarkOracle {
         let n = graph.n();
         assert!(n > 0, "landmark oracle needs a non-empty graph");
         let k = k.clamp(1, n).min(u16::MAX as usize);
-        let mut trees: Vec<ShortestPathTree> = Vec::with_capacity(k);
+        let mut trees: Vec<LandmarkTree> = Vec::with_capacity(k);
         let mut home: Vec<u16> = vec![0; n];
         let mut home_dist: Vec<Weight> = vec![Weight::MAX; n];
         let mut next_mark = NodeId(0);
+        // Layout scratch shared by every landmark.
+        let mut order: Vec<(u32, u32)> = Vec::with_capacity(n);
+        let mut next: Vec<u32> = vec![0; n];
         for mark in 0..k {
-            let tree = ShortestPathTree::compute(graph, next_mark);
+            let tree = ShortestPathTree::compute_settling(graph, next_mark, &mut order);
             assert!(tree.spanning(), "landmark oracle requires connectivity");
             // Fold this landmark into the nearest-landmark assignment and
             // pick the farthest remaining node as the next landmark.
@@ -114,14 +156,18 @@ impl LandmarkOracle {
                     far = v;
                 }
             }
-            trees.push(tree);
+            trees.push(LandmarkTree::new(tree, &order, &mut next));
             if far_d == 0 {
                 break; // every node is itself a landmark already
             }
             next_mark = far;
         }
         let radius = home_dist.iter().copied().max().unwrap_or(0);
-        let max_ecc = trees.iter().map(|t| t.eccentricity()).max().unwrap_or(0);
+        let max_ecc = trees
+            .iter()
+            .map(|t| t.tree.eccentricity())
+            .max()
+            .unwrap_or(0);
         LandmarkOracle {
             trees,
             home,
@@ -129,7 +175,6 @@ impl LandmarkOracle {
             radius,
             // Any pair satisfies d(u,v) ≤ est(u→v) ≤ ecc(H(v)) + R.
             diameter_bound: max_ecc + radius,
-            cache: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -157,7 +202,7 @@ impl LandmarkOracle {
     #[inline]
     fn est(&self, u: NodeId, v: NodeId) -> Weight {
         let l = self.home[v.index()] as usize;
-        self.trees[l].dist(u) + self.home_dist[v.index()]
+        self.trees[l].tree.dist(u) + self.home_dist[v.index()]
     }
 
     /// Symmetrized distance estimate: `max` of the two directed estimates,
@@ -172,78 +217,54 @@ impl LandmarkOracle {
         self.est(u, v).max(self.est(v, u))
     }
 
-    /// First hop from `u` on the oracle's routed path toward `v`.
-    ///
-    /// Consults the cached-path table first; on a miss, routes in the tree
-    /// of `H(v)` and memoizes every suffix of the computed path.
+    /// First hop from `u` on the oracle's routed path toward `v`: down to
+    /// the child whose preorder interval holds `v` if `u` is an ancestor
+    /// of `v` in the tree of `H(v)`, up to `u`'s parent otherwise.
     // dtm-lint: hot-path
     pub fn next_hop(&self, u: NodeId, v: NodeId) -> NodeId {
         debug_assert_ne!(u, v, "next_hop requires distinct endpoints");
-        if let Some(hop) = self.cached_next(u, v) {
-            return hop;
+        let t = &self.trees[self.home[v.index()] as usize];
+        let x = t.span[v.index()].0;
+        let (at, size) = t.span[u.index()];
+        // `x ∈ [at, at + size)` as one unsigned compare.
+        if x.wrapping_sub(at) >= size {
+            return t
+                .tree
+                .next_hop(u)
+                .expect("the root is an ancestor of every node"); // dtm-lint: allow(C1) -- only the root lacks a parent, and the root's interval holds every node
         }
-        self.route_miss(u, v)
-    }
-
-    /// Allocation-free cache probe: the next hop toward `v` if the pair's
-    /// path is already memoized.
-    // dtm-lint: hot-path
-    #[inline]
-    fn cached_next(&self, u: NodeId, v: NodeId) -> Option<NodeId> {
-        let guard = self.cache.read();
-        let (path, pos) = guard.get(&(u, v))?;
-        Some(path[*pos as usize + 1])
-    }
-
-    /// Cache-miss path: compute the routed path `u → v`, memoize all of
-    /// its suffixes, and return the first hop. Pure in `(u, v)`, so a
-    /// concurrent or evicted-and-recomputed entry is always identical.
-    fn route_miss(&self, u: NodeId, v: NodeId) -> NodeId {
-        let path = Arc::new(self.compute_path(u, v));
-        let hop = path[1];
-        let mut guard = self.cache.write();
-        if guard.len() + path.len() > PATH_CACHE_CAP {
-            guard.clear();
+        let mut child = t.pre[at as usize + 1];
+        loop {
+            let (tin, size) = t.span[child as usize];
+            let end = tin + size;
+            if x < end {
+                return NodeId(child);
+            }
+            child = t.pre[end as usize];
         }
-        for (i, &from) in path.iter().enumerate().take(path.len() - 1) {
-            guard.insert((from, v), (Arc::clone(&path), i as u32));
-        }
-        hop
     }
+}
 
-    /// The routed path from `u` to `v` in the tree of `H(v)`: ascend from
-    /// `u` until reaching an ancestor of `v`, then descend along `v`'s
-    /// root path. Cost = `d(u,l) + d(v,l) − 2·d(a,l) ≤ est(u → v)`.
+#[cfg(test)]
+impl LandmarkOracle {
+    /// Reference for [`LandmarkOracle::next_hop`]: the whole routed path
+    /// from `u` to `v` in the tree of `H(v)`, built by ascending from `u`
+    /// until reaching a node on `v`'s root path, then descending along it.
     fn compute_path(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        let tree = &self.trees[self.home[v.index()] as usize];
-        // v's root path, indexed for O(log depth) ancestor membership tests.
+        let tree = &self.trees[self.home[v.index()] as usize].tree;
         let vpath = tree.path_to_root(v);
-        let mut index: Vec<(NodeId, u32)> = vpath
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (x, i as u32))
-            .collect();
-        index.sort_unstable_by_key(|e| e.0);
         let mut path = vec![u];
         let mut cur = u;
         let meet = loop {
-            if let Ok(at) = index.binary_search_by_key(&cur, |e| e.0) {
-                break index[at].1;
+            if let Some(at) = vpath.iter().position(|&x| x == cur) {
+                break at;
             }
-            cur = tree
-                .next_hop(cur)
-                .expect("tree root is an ancestor of every node"); // dtm-lint: allow(C1) -- ascent can only fail past the root, and the root is on every root path
+            cur = tree.next_hop(cur).expect("the root is on every root path");
             path.push(cur);
         };
-        // Descend from the meeting ancestor (exclusive) down to v.
-        path.extend(vpath[..meet as usize].iter().rev());
+        path.extend(vpath[..meet].iter().rev());
         debug_assert_eq!(path.last(), Some(&v));
         path
-    }
-
-    /// Current number of memoized `(node, target)` pairs (test/telemetry).
-    pub fn cached_pairs(&self) -> usize {
-        self.cache.read().len()
     }
 }
 
@@ -307,27 +328,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn routing_is_memoryless_under_eviction() {
-        // Dropping the cache mid-journey must not change the trajectory.
-        let (oracle, net) = oracle_and_graph(5, 30);
-        let g = net.graph();
-        let (u, v) = (NodeId(0), NodeId(29));
-        let mut warm = vec![u];
+    /// Hop by hop through `next_hop`, with the step cap as a
+    /// termination check.
+    fn route(oracle: &LandmarkOracle, u: NodeId, v: NodeId, n: usize) -> Vec<NodeId> {
+        let mut path = vec![u];
         let mut cur = u;
         while cur != v {
             cur = oracle.next_hop(cur, v);
-            warm.push(cur);
+            path.push(cur);
+            assert!(path.len() <= n, "routing must terminate");
         }
-        let fresh = LandmarkOracle::build_with(g, 4);
-        let mut cold = vec![u];
-        let mut cur = u;
-        while cur != v {
-            cold.push(fresh.next_hop(cur, v));
-            cur = *cold.last().unwrap();
-            fresh.cache.write().clear(); // evict between every hop
+        path
+    }
+
+    #[test]
+    fn route_from_every_waypoint_is_a_suffix() {
+        // Memoryless routing: restarting at any intermediate node
+        // reproduces the rest of the journey exactly.
+        let (oracle, net) = oracle_and_graph(5, 30);
+        let n = net.n();
+        for (u, v) in [(0, 29), (29, 0), (7, 18), (13, 2)] {
+            let full = route(&oracle, NodeId(u), NodeId(v), n);
+            for (i, &w) in full.iter().enumerate() {
+                assert_eq!(route(&oracle, w, NodeId(v), n), &full[i..]);
+            }
         }
-        assert_eq!(warm, cold);
     }
 
     #[test]
@@ -347,16 +372,53 @@ mod tests {
     }
 
     #[test]
-    fn cache_suffix_sharing() {
-        let (oracle, _net) = oracle_and_graph(3, 30);
-        assert_eq!(oracle.cached_pairs(), 0);
-        let _ = oracle.next_hop(NodeId(0), NodeId(29));
-        let inserted = oracle.cached_pairs();
-        assert!(inserted >= 1, "first miss memoizes the whole path");
-        // Hopping along the same journey is all cache hits: no growth.
-        let hop = oracle.next_hop(NodeId(0), NodeId(29));
-        let _ = oracle.next_hop(hop, NodeId(29));
-        assert_eq!(oracle.cached_pairs(), inserted);
+    fn next_hop_matches_reference_on_small_graphs() {
+        // Every ordered pair, three graph families, k from a single
+        // landmark up to saturation (k >= n).
+        let nets = [
+            topology::random(40, 3, 5, 17),
+            topology::geometric(60, 3, 4),
+            topology::power_law(50, 2, 8),
+            topology::random(6, 2, 3, 9),
+            // Weights above the Dial cut: the binary-heap backend.
+            topology::random(30, 3, 100, 3),
+        ];
+        for net in &nets {
+            let g = net.graph();
+            for k in [1, 4, 16] {
+                let oracle = LandmarkOracle::build_with(g, k);
+                for u in g.nodes() {
+                    for v in g.nodes() {
+                        if u != v {
+                            let hop = oracle.next_hop(u, v);
+                            assert_eq!(hop, oracle.compute_path(u, v)[1], "{u}->{v} k={k}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn routed_paths_match_reference_on_stream_graph() {
+        // The 10⁴-node geometric graph of the stream workload, 2000
+        // seeded pairs routed to completion.
+        let net = topology::geometric(10_000, 4, 18);
+        let oracle = LandmarkOracle::build_with(net.graph(), 16);
+        let n = net.n() as u64;
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            NodeId((x % n) as u32)
+        };
+        for _ in 0..2000 {
+            let (u, v) = (next(), next());
+            if u != v {
+                assert_eq!(route(&oracle, u, v, net.n()), oracle.compute_path(u, v));
+            }
+        }
     }
 
     #[test]

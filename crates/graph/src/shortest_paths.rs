@@ -11,11 +11,16 @@
 //! (`O(m + D)` for integer weights bounded by [`DIAL_MAX_WEIGHT`]) —
 //! [`ShortestPathTree::compute`] picks per graph. They produce **identical
 //! trees**: the parent rule "strict improvement, or equal distance through
-//! a smaller parent id" (with equal-distance parent swaps allowed on
-//! settled nodes) makes the chosen parent a pure function of the final
-//! distance labels, independent of queue pop order — every node ends up
-//! with the smallest-id neighbor among its optimal predecessors. The
+//! a smaller parent id" makes the chosen parent a pure function of the
+//! final distance labels, independent of queue pop order — every node ends
+//! up with the smallest-id neighbor among its optimal predecessors. The
 //! `dial_matches_heap` property test pins this.
+//!
+//! Only a strict improvement queues a node, so each node has exactly one
+//! queue entry carrying its final label; any other entry is stale and is
+//! recognised by its label alone, with no settled-set bitmap. Weights are
+//! positive, so a settled node's label is below anything still being
+//! relaxed: neither an improvement nor a parent swap ever reaches it.
 
 use crate::graph::{Graph, NodeId, Weight};
 use std::cmp::Reverse;
@@ -50,42 +55,65 @@ impl ShortestPathTree {
     /// (`O((m + n) log n)`); the resulting tree is identical either way
     /// (see module docs).
     pub fn compute(graph: &Graph, root: NodeId) -> Self {
+        Self::settle(graph, root, |_, _| {})
+    }
+
+    /// [`ShortestPathTree::compute`] that also appends every node, with
+    /// its parent ([`u32::MAX`] for the root), to `order` in the order
+    /// Dijkstra settles it (`order` is cleared first). A node's parent is
+    /// final once it settles. Settling is in nondecreasing distance and
+    /// weights are positive, so every node's parent precedes it — the
+    /// property the landmark oracle's preorder layout is built from.
+    pub(crate) fn compute_settling(
+        graph: &Graph,
+        root: NodeId,
+        order: &mut Vec<(u32, u32)>,
+    ) -> Self {
+        order.clear();
+        Self::settle(graph, root, |v, parent| order.push((v, parent)))
+    }
+
+    /// The backend choice of [`ShortestPathTree::compute`], reporting each
+    /// node and its parent to `settled` as it settles.
+    fn settle(graph: &Graph, root: NodeId, settled: impl FnMut(u32, u32)) -> Self {
         match graph.max_edge_weight() {
-            Some(c) if c <= DIAL_MAX_WEIGHT => Self::compute_dial(graph, root, c),
-            _ => Self::compute_heap(graph, root),
+            Some(c) if c <= DIAL_MAX_WEIGHT => Self::dial(graph, root, c, settled),
+            _ => Self::heap(graph, root, settled),
         }
     }
 
     /// Binary-heap Dijkstra (any positive weights).
     pub fn compute_heap(graph: &Graph, root: NodeId) -> Self {
+        Self::heap(graph, root, |_, _| {})
+    }
+
+    /// Binary-heap Dijkstra reporting each node and its parent to
+    /// `settled` as it settles.
+    fn heap(graph: &Graph, root: NodeId, mut settled: impl FnMut(u32, u32)) -> Self {
         let n = graph.n();
         assert!(root.index() < n, "root {root} out of range");
         let mut dist = vec![Weight::MAX; n];
         let mut parent = vec![NO_PARENT; n];
-        let mut done = vec![false; n];
         let mut heap: BinaryHeap<Reverse<(Weight, u32)>> = BinaryHeap::new();
         dist[root.index()] = 0;
         heap.push(Reverse((0, root.0)));
         while let Some(Reverse((d, v))) = heap.pop() {
             let vi = v as usize;
-            if done[vi] {
-                continue;
+            if d != dist[vi] {
+                continue; // stale label superseded by a smaller one
             }
-            done[vi] = true;
+            settled(v, parent[vi]);
             for &(nb, w) in graph.neighbors(NodeId(v)) {
                 let nd = d + w;
                 let nbi = nb.index();
                 // Strict improvement, or equal distance through a smaller
                 // parent id: keeps routing deterministic across runs.
-                if nd < dist[nbi] || (nd == dist[nbi] && v < parent[nbi]) {
+                if nd < dist[nbi] {
                     dist[nbi] = nd;
                     parent[nbi] = v;
-                    // An equal-distance parent swap on a settled node needs
-                    // no re-push: its distance is final and its children were
-                    // relaxed against that distance already.
-                    if !done[nbi] {
-                        heap.push(Reverse((nd, nb.0)));
-                    }
+                    heap.push(Reverse((nd, nb.0)));
+                } else if nd == dist[nbi] && v < parent[nbi] {
+                    parent[nbi] = v; // already queued at `nd`
                 }
             }
         }
@@ -95,16 +123,21 @@ impl ShortestPathTree {
     /// Dial (bucket queue) Dijkstra for integer weights bounded by `c`:
     /// a ring of `c + 1` buckets indexed by distance mod `c + 1`. Every
     /// pending label lies in `[cur, cur + c]`, so bucket residues are
-    /// unambiguous; stale entries are skipped via the `done` bitmap.
+    /// unambiguous; stale entries are skipped by their label.
     /// `O(m + D)` time, `O(n + c)` extra space.
     pub fn compute_dial(graph: &Graph, root: NodeId, c: Weight) -> Self {
+        Self::dial(graph, root, c, |_, _| {})
+    }
+
+    /// Dial Dijkstra reporting each node and its parent to `settled` as it
+    /// settles.
+    fn dial(graph: &Graph, root: NodeId, c: Weight, mut settled: impl FnMut(u32, u32)) -> Self {
         let n = graph.n();
         assert!(root.index() < n, "root {root} out of range");
         debug_assert!(graph.max_edge_weight().unwrap_or(0) <= c, "weight bound");
         let ring = c as usize + 1;
         let mut dist = vec![Weight::MAX; n];
         let mut parent = vec![NO_PARENT; n];
-        let mut done = vec![false; n];
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); ring];
         let mut pending = 1usize;
         dist[root.index()] = 0;
@@ -118,21 +151,22 @@ impl ShortestPathTree {
             while let Some(v) = buckets[slot].pop() {
                 pending -= 1;
                 let vi = v as usize;
-                if done[vi] {
-                    continue; // stale label superseded by a smaller one
+                // The bucket residue resolves to `cur`, so a smaller label
+                // marks the entry stale.
+                if dist[vi] != cur {
+                    continue;
                 }
-                debug_assert_eq!(dist[vi], cur, "bucket residue resolves uniquely");
-                done[vi] = true;
+                settled(v, parent[vi]);
                 for &(nb, w) in graph.neighbors(NodeId(v)) {
                     let nd = cur + w;
                     let nbi = nb.index();
-                    if nd < dist[nbi] || (nd == dist[nbi] && v < parent[nbi]) {
+                    if nd < dist[nbi] {
                         dist[nbi] = nd;
                         parent[nbi] = v;
-                        if !done[nbi] {
-                            buckets[(nd % ring as Weight) as usize].push(nb.0);
-                            pending += 1;
-                        }
+                        buckets[(nd % ring as Weight) as usize].push(nb.0);
+                        pending += 1;
+                    } else if nd == dist[nbi] && v < parent[nbi] {
+                        parent[nbi] = v; // already queued at `nd`
                     }
                 }
             }
@@ -506,6 +540,36 @@ mod dial_tests {
                 for v in g.nodes() {
                     prop_assert_eq!(a.dist(v), b.dist(v));
                     prop_assert_eq!(a.next_hop(v), b.next_hop(v));
+                }
+            }
+        }
+
+        /// The settle order of either backend lists every node once, with
+        /// its final parent, each after that parent, and the tree is the
+        /// plain `compute` one.
+        #[test]
+        fn settle_order_puts_parents_first(seed in 0u64..40, n in 2u32..40, w in 1u64..100) {
+            let net = topology::random(n, 3, w, seed);
+            let g = net.graph();
+            let mut order = vec![(7, 7)];
+            for root in g.nodes() {
+                let t = ShortestPathTree::compute_settling(g, root, &mut order);
+                let plain = ShortestPathTree::compute(g, root);
+                let mut pos = vec![usize::MAX; g.n()];
+                for (i, &(v, p)) in order.iter().enumerate() {
+                    prop_assert_eq!(pos[v as usize], usize::MAX, "settled twice");
+                    pos[v as usize] = i;
+                    let want = plain.next_hop(NodeId(v)).map_or(u32::MAX, |p| p.0);
+                    prop_assert_eq!(p, want, "parent changed after settling");
+                }
+                prop_assert_eq!(order.len(), g.n());
+                prop_assert_eq!(order[0], (root.0, u32::MAX));
+                for v in g.nodes() {
+                    prop_assert_eq!(t.dist(v), plain.dist(v));
+                    prop_assert_eq!(t.next_hop(v), plain.next_hop(v));
+                    if let Some(p) = t.next_hop(v) {
+                        prop_assert!(pos[p.index()] < pos[v.index()], "parent after child");
+                    }
                 }
             }
         }

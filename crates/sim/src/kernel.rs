@@ -23,19 +23,19 @@
 //!
 //! **Resumability contract.** A checkpoint taken between two ticks
 //! captures *all* state the remaining steps depend on: the live set and
-//! schedule, object places, pending edge loads and forwarding pointers,
-//! the inter-policy effects accumulator, the workload source, and the
-//! policy itself (via [`SchedulingPolicy::fork`]). Resuming and driving
-//! to completion therefore produces a [`RunResult`] byte-identical to an
-//! uninterrupted run — pinned by `tests/resume.rs` for all five
-//! policies. Observers are *not* part of a checkpoint (they are purely
-//! observational); re-attach with [`StepKernel::with_observer`].
+//! schedule, object places, pending edge loads, the inter-policy
+//! effects accumulator, the workload source, and the policy itself (via
+//! [`SchedulingPolicy::fork`], which also carries policy-owned state
+//! such as the message-level policy's forwarding trail). Resuming and
+//! driving to completion therefore produces a [`RunResult`]
+//! byte-identical to an uninterrupted run — pinned by `tests/resume.rs`
+//! for all six policies. Observers are *not* part of a checkpoint (they
+//! are purely observational); re-attach with [`StepKernel::with_observer`].
 
 use crate::arena::RuntimeState;
 use crate::effects::{edge_key, Delivery, Departure, StepEffects};
 use crate::engine::{EngineConfig, Retention};
 use crate::events::Event;
-use crate::forwarding::ForwardingTable;
 use crate::metrics::{LatencySummary, Log2Histogram, Metrics, RunResult, Violation};
 use crate::observer::{Phase, StepObserver};
 use crate::policy::SchedulingPolicy;
@@ -110,15 +110,6 @@ pub struct StepKernel<P, S> {
     /// holds only edges with objects currently on them.
     // dtm-lint: bounded -- entries removed when their load returns to zero; O(occupied edges)
     edge_load: BTreeMap<(NodeId, NodeId), u32>,
-    /// Node-local forwarding pointers: (object, node) -> where that node
-    /// last sent the object. Pointers are overwritten on each new
-    /// departure of the object from that node and never removed: they
-    /// are the Section V tracking trail ([`SystemView::forwarded_to`])
-    /// — a request chasing an object must be able to follow the trail
-    /// from any node the object ever left, so "remove on delivery"
-    /// would be wrong, and memory is bounded by objects × nodes (see
-    /// [`ForwardingTable`]).
-    forwarding: ForwardingTable,
 
     // dtm-lint: bounded -- fixed at construction; never grows after new()
     observers: Vec<Box<dyn StepObserver>>,
@@ -207,8 +198,10 @@ pub struct KernelVitals {
 /// - `requester_objects` and `in_transit` ≤ objects ever created;
 /// - `edge_load_entries` ≤ in-transit objects, and 0 whenever
 ///   `link_capacity` is unset (the map only feeds the admission check);
-/// - `forwarding_entries` ≤ objects × nodes (trail pointers are
-///   overwritten, never accumulated — see [`ForwardingTable`]).
+/// - `forwarding_entries` is always 0: the kernel keeps no forwarding
+///   trail (its one reader, the message-level Algorithm 3 policy, folds
+///   its own from [`StepEffects::departed`]). The field stays until the
+///   benchmark's `kernel.map.forwarding_entries` metric is retired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelMapStats {
     /// Scheduled, uncommitted transactions awaiting execution.
@@ -221,7 +214,8 @@ pub struct KernelMapStats {
     pub in_transit: usize,
     /// Edges with at least one object on them (capacity runs only).
     pub edge_load_entries: usize,
-    /// Distinct (object, node) forwarding pointers recorded so far.
+    /// Always 0; kept for the benchmark metric that reads it (see the
+    /// struct docs).
     pub forwarding_entries: usize,
 }
 
@@ -261,7 +255,6 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         // Objects are created lazily at their creation step; collect specs.
         let mut pending: Vec<ObjectInfo> = source.objects().to_vec();
         pending.sort_by_key(|o| (o.created_at, o.id));
-        let forwarding = ForwardingTable::new(network.n());
         StepKernel {
             network,
             policy,
@@ -277,7 +270,6 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
             requesters: Vec::new(),
             transit: BinaryHeap::new(),
             edge_load: BTreeMap::new(),
-            forwarding,
             observers,
             phase_mask: 0,
             events: Vec::new(),
@@ -323,11 +315,15 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         &self.violations
     }
 
+    /// The policy driving this run, for reading its own gauges.
+    pub fn policy(&self) -> &P {
+        &self.policy
+    }
+
     /// A read-only [`SystemView`] of the current state, as a policy
-    /// would see it (forwarding pointers attached).
+    /// would see it.
     pub fn view(&self) -> SystemView<'_> {
         SystemView::from_state(self.now, &self.network, &self.state)
-            .with_forwarding(&self.forwarding)
     }
 
     /// True once the run is over: the source is exhausted and every
@@ -401,7 +397,7 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
             requester_objects: self.requesters.len(),
             in_transit: self.transit.len(),
             edge_load_entries: self.edge_load.len(),
-            forwarding_entries: self.forwarding.len(),
+            forwarding_entries: 0,
         }
     }
 
@@ -536,7 +532,6 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 requesters: self.requesters.clone(),
                 transit: self.transit.clone(),
                 edge_load: self.edge_load.clone(),
-                forwarding: self.forwarding.clone(),
                 observers: Vec::new(),
                 phase_mask: 0,
                 events: self.events.clone(),
@@ -792,8 +787,7 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
     // dtm-lint: hot-path
     fn phase_schedule(&mut self, t: Time) -> usize {
         let fragment = {
-            let view = SystemView::from_state(t, &self.network, &self.state)
-                .with_forwarding(&self.forwarding);
+            let view = SystemView::from_state(t, &self.network, &self.state);
             self.policy.step(&view, &self.effects.arrived)
         };
         self.state.effects_mut().clear();
@@ -993,7 +987,7 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         for (id, target_home) in moves.drain(..) {
             // One mutable arena probe serves both the place check and the
             // later in-place update; borrows of sibling fields (network,
-            // edge_load, forwarding) stay disjoint from `state`.
+            // edge_load) stay disjoint from `state`.
             // Objects whose creation step has not come yet cannot move;
             // the old arena scan skipped them implicitly.
             let Some(st) = self.state.object_mut(id) else {
@@ -1025,7 +1019,6 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                     }
                 }
             }
-            self.forwarding.insert(id, here, next);
             let arrive = t + w * self.config.speed_divisor;
             st.place = ObjectPlace::Hop {
                 from: here,

@@ -37,7 +37,6 @@ pub mod arena;
 pub mod effects;
 pub mod engine;
 pub mod events;
-pub mod forwarding;
 pub mod gantt;
 pub mod kernel;
 pub mod metrics;
@@ -50,7 +49,6 @@ pub use arena::{IdWindow, ObjectArena, RuntimeState, TxnArena};
 pub use effects::{Delivery, Departure, StepEffects};
 pub use engine::{run_policy, Engine, EngineConfig, Retention};
 pub use events::Event;
-pub use forwarding::ForwardingTable;
 pub use gantt::{render_timeline, TimelineOptions};
 pub use kernel::{KernelMapStats, KernelVitals, RunCheckpoint, RunStatus, StepKernel};
 pub use metrics::{

@@ -3,7 +3,6 @@
 
 use crate::arena::{ObjectIter, RuntimeState, TxnIter};
 use crate::effects::StepEffects;
-use crate::forwarding::ForwardingTable;
 use dtm_graph::{Network, NodeId, Weight};
 use dtm_model::{ObjectId, ObjectInfo, Time, Transaction, TxnId};
 use serde::{Deserialize, Serialize};
@@ -83,11 +82,6 @@ pub struct SystemView<'a> {
     /// The communication network.
     pub network: &'a Network,
     state: &'a RuntimeState,
-    /// Node-local forwarding pointers: where each node last sent each
-    /// object (the trail that object-tracking messages follow, Section V:
-    /// "we can track objects in transit by reaching the node that the
-    /// object departs from").
-    forwarding: Option<&'a ForwardingTable>,
 }
 
 impl<'a> SystemView<'a> {
@@ -97,21 +91,7 @@ impl<'a> SystemView<'a> {
             now,
             network,
             state,
-            forwarding: None,
         }
-    }
-
-    /// Attach the engine's forwarding-pointer table (see
-    /// [`SystemView::forwarded_to`]).
-    pub fn with_forwarding(mut self, forwarding: &'a ForwardingTable) -> Self {
-        self.forwarding = Some(forwarding);
-        self
-    }
-
-    /// Node-local knowledge at `node`: where it last forwarded `object`
-    /// (`None` if the node never forwarded it, or no table is attached).
-    pub fn forwarded_to(&self, object: ObjectId, node: NodeId) -> Option<NodeId> {
-        self.forwarding?.get(object, node)
     }
 
     /// All live transactions (`T_t` in the paper), in id order.

@@ -3,14 +3,17 @@
 //! the uninterrupted run exactly — the same [`dtm_sim::RunResult`]
 //! rendering (schedule, commits, metrics, full event-log hash), the
 //! same telemetry metrics snapshot, and the same golden-trace text —
-//! for all five policies on 2 networks x 2 seeds.
+//! for all six policies on 2 networks x 2 seeds.
 //!
 //! The telemetry check shares one sink handle between the pre-checkpoint
 //! segment and the resumed kernel, so the registry accumulates exactly
 //! the callbacks of one full run; wall-clock timing is disabled
 //! (`with_timing_sample(0)`) so every recorded metric is deterministic.
 
-use dtm_core::{BucketPolicy, DistributedBucketPolicy, FifoPolicy, GreedyPolicy, TspPolicy};
+use dtm_core::{
+    BucketPolicy, DistributedBucketPolicy, DistributedMsgPolicy, FifoPolicy, GreedyPolicy,
+    TspPolicy,
+};
 use dtm_graph::{topology, Network};
 use dtm_integration::render;
 use dtm_model::{
@@ -136,6 +139,21 @@ fn resume_distributed_bucket() {
             inst,
             DistributedBucketPolicy::new(net, ListScheduler::fifo(), 7),
             DistributedBucketPolicy::<ListScheduler>::engine_config(),
+        );
+    });
+}
+
+/// The message-level policy owns its forwarding trail, so the fork is
+/// the only thing carrying it across the checkpoint.
+#[test]
+fn resume_distributed_msg() {
+    for_each_scenario(|label, net, inst| {
+        check_resume(
+            &format!("distributed-msg {label}"),
+            net,
+            inst,
+            DistributedMsgPolicy::new(net, ListScheduler::fifo(), 7),
+            DistributedMsgPolicy::<ListScheduler>::engine_config(),
         );
     });
 }

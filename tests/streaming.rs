@@ -8,9 +8,10 @@
 //! arbitrary insert/remove churn, slots never outgrow the peak number of
 //! simultaneously live transactions.
 
-use dtm_core::{FifoPolicy, GreedyPolicy};
+use dtm_core::{DistributedMsgPolicy, FifoPolicy, GreedyPolicy};
 use dtm_graph::{topology, NodeId};
 use dtm_model::{ArrivalProcess, ObjectId, OpenLoopSource, Time, Transaction, TxnId, WorkloadSpec};
+use dtm_offline::ListScheduler;
 use dtm_sim::{Engine, EngineConfig, LiveTxn, Retention, RunStatus, TxnArena};
 use dtm_telemetry::{steady_names, MetricsRegistry, SteadyStateProbe};
 use proptest::prelude::*;
@@ -67,7 +68,6 @@ fn poisson_stream_runs_100k_steps_with_bounded_arena() {
 #[test]
 fn kernel_maps_stay_bounded_under_100k_step_churn() {
     let net = topology::clique(8);
-    let nodes = net.n();
     let spec = WorkloadSpec::batch_uniform(8, 2); // 8 objects, k = 2
     let source = OpenLoopSource::new(net.clone(), spec, ArrivalProcess::Poisson { rate: 0.5 }, 42);
     let config = EngineConfig {
@@ -103,10 +103,48 @@ fn kernel_maps_stay_bounded_under_100k_step_churn() {
             stats.edge_load_entries,
             stats.in_transit
         );
-        // Forwarding pointers are overwritten in place: objects x nodes.
-        assert!(stats.forwarding_entries <= 8 * nodes);
+        // The kernel keeps no forwarding trail; the message-level policy
+        // owns it (bounded by `dist_msg_trail_stays_bounded_under_churn`).
+        assert_eq!(stats.forwarding_entries, 0);
     }
     assert!(kernel.commit_count() > 40_000, "throughput collapsed");
+}
+
+/// The forwarding trail lives in the message-level Algorithm 3 policy,
+/// its only reader: under Poisson churn it holds at most one pointer per
+/// (object, node) pair, however many departures stream through, and the
+/// objects really do move.
+#[test]
+fn dist_msg_trail_stays_bounded_under_churn() {
+    let net = topology::clique(8);
+    let nodes = net.n();
+    let objects = 8;
+    let spec = WorkloadSpec::batch_uniform(objects as u32, 2);
+    let source = OpenLoopSource::new(net.clone(), spec, ArrivalProcess::Poisson { rate: 0.3 }, 42);
+    let config = EngineConfig {
+        retention: Retention::Streaming { warmup: 1_000 },
+        record_events: false,
+        max_steps: u64::MAX,
+        ..DistributedMsgPolicy::<ListScheduler>::engine_config()
+    };
+    let policy = DistributedMsgPolicy::new(&net, ListScheduler::fifo(), 7);
+    let mut kernel = Engine::new(net, policy, config).into_kernel(source);
+    let mut departures = 0usize;
+    for probe in 0..10 {
+        for _ in 0..2_000 {
+            departures += kernel.tick().map_or(0, |fx| fx.departed.len());
+        }
+        let trail = kernel.policy().trail_len();
+        assert!(
+            trail <= objects * nodes,
+            "probe {probe}: {trail} trail pointers > {objects} objects x {nodes} nodes"
+        );
+    }
+    assert!(
+        departures > 10 * objects * nodes,
+        "only {departures} departures: the bound was never under pressure"
+    );
+    assert!(kernel.commit_count() > 4_000, "throughput collapsed");
 }
 
 /// 50k-step kernel-level churn check on a line (slower topology, deeper
