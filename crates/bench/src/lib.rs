@@ -42,22 +42,42 @@ pub fn quick_flag() -> bool {
     std::env::args().any(|a| a == "--quick" || a == "-q")
 }
 
+/// The value after the first of `names` in the process arguments (`None`
+/// when absent); a flag followed by nothing or by another `--flag` fails
+/// through [`fail`].
+fn process_flag(names: &[&str]) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    let i = args.iter().position(|a| names.contains(&a.as_str()))?;
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Some(v.clone()),
+        _ => fail(&format!("{} takes a value", names[0])),
+    }
+}
+
+/// [`process_flag`] as a positive integer, else [`fail`].
+fn positive_flag<T: std::str::FromStr + PartialEq + From<u8>>(names: &[&str]) -> Option<T> {
+    let v = process_flag(names)?;
+    match v.parse::<T>() {
+        Ok(n) if n != T::from(0) => Some(n),
+        _ => fail(&format!("{} takes a positive integer, got {v:?}", names[0])),
+    }
+}
+
 /// Parse the conventional `--jobs <N>` flag (also `-j <N>`): the number
 /// of worker threads experiment grids fan out on. Absent flag = `None`
-/// (the pool defaults to `RAYON_NUM_THREADS`, then all cores).
+/// (the pool defaults to `RAYON_NUM_THREADS`, then all cores); a
+/// missing, non-integer or zero value exits 2 through [`fail`].
 pub fn jobs_flag() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--jobs" || a == "-j")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
+    positive_flag(&["--jobs", "-j"])
 }
 
 /// Apply `--jobs` to the global thread pool. Every experiment binary
 /// calls this once at startup; without the flag it is a no-op and the
-/// pool uses its defaults.
+/// pool uses its defaults. It parses the other shared flags too, so a bad
+/// value exits 2 before any work starts.
 pub fn init_jobs() {
+    telemetry_flag();
+    obs_flags();
     if let Some(n) = jobs_flag() {
         rayon::ThreadPoolBuilder::new()
             .num_threads(n)
@@ -96,17 +116,12 @@ pub fn fail(msg: &str) -> ! {
 /// The command line is parsed **once per process** and cached (the flag
 /// has process-lifetime semantics): every `run_summary` call — including
 /// cells racing on the thread pool — observes the same enabled/disabled
-/// state for the life of the process, never a torn mid-suite flip.
+/// state for the life of the process, never a torn mid-suite flip. A
+/// `--telemetry` with no directory after it exits 2 through [`fail`].
 pub fn telemetry_flag() -> Option<std::path::PathBuf> {
     static TELEMETRY_DIR: OnceLock<Option<std::path::PathBuf>> = OnceLock::new();
     TELEMETRY_DIR
-        .get_or_init(|| {
-            let args: Vec<String> = std::env::args().collect();
-            args.iter()
-                .position(|a| a == "--telemetry")
-                .and_then(|i| args.get(i + 1))
-                .map(std::path::PathBuf::from)
-        })
+        .get_or_init(|| process_flag(&["--telemetry"]).map(std::path::PathBuf::from))
         .clone()
 }
 
@@ -114,25 +129,13 @@ pub fn telemetry_flag() -> Option<std::path::PathBuf> {
 /// (`--health`, `--flight-k <K>`, `--expose-every <N>`); see
 /// [`ObsFlags`]. Parsed once per process and cached, exactly like
 /// [`telemetry_flag`], so parallel grid cells all observe the same
-/// state.
+/// state. A non-positive-integer value exits 2 through [`fail`].
 pub fn obs_flags() -> &'static ObsFlags {
     static OBS: OnceLock<ObsFlags> = OnceLock::new();
-    OBS.get_or_init(|| {
-        let args: Vec<String> = std::env::args().collect();
-        let value = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-        };
-        ObsFlags {
-            health: args.iter().any(|a| a == "--health"),
-            flight_k: value("--flight-k")
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&k| k > 0),
-            expose_every: value("--expose-every")
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&n| n > 0),
-        }
+    OBS.get_or_init(|| ObsFlags {
+        health: std::env::args().any(|a| a == "--health"),
+        flight_k: positive_flag(&["--flight-k"]),
+        expose_every: positive_flag(&["--expose-every"]),
     })
 }
 

@@ -492,10 +492,11 @@ fn run_stream_inner<P: SchedulingPolicy, S: WorkloadSource>(
             }
         }
     }
-    let mean = |sum: u128, n: u64| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
-    let backlog_early_mean = mean(sum_early, n_early);
-    let backlog_late_mean = mean(sum_late, n_late);
-    let half_window = (((steps - warmup) / 2).max(1)) as f64;
+    let (backlog_early_mean, backlog_late_mean, backlog_slope) = dtm_telemetry::half_window_slope(
+        (sum_early, n_early),
+        (sum_late, n_late),
+        ((steps - warmup) / 2).max(1),
+    );
     let soj = kernel.sojourn_latency();
     let summary = StreamSummary {
         policy: policy_name,
@@ -508,7 +509,7 @@ fn run_stream_inner<P: SchedulingPolicy, S: WorkloadSource>(
         arena_high_water: kernel.arena_high_water(),
         backlog_early_mean,
         backlog_late_mean,
-        backlog_slope: (backlog_late_mean - backlog_early_mean) / half_window,
+        backlog_slope,
         p50_latency: soj.percentile(0.50),
         p95_latency: soj.percentile(0.95),
         max_latency: soj.max(),

@@ -3,6 +3,7 @@
 //! `long_haul` must fail *gracefully* — an error message on stderr and
 //! exit code 2, never a panic — on missing, empty, truncated or malformed
 //! input, on unknown names and on bad rates, and must process valid input.
+//! The experiment binaries hold their shared flags to the same contract.
 
 use dtm_sim::{StepEffects, StepObserver};
 use std::path::PathBuf;
@@ -124,6 +125,31 @@ fn long_haul_fails_gracefully_on_bad_rate() {
         assert_graceful(&run_bin(exe, &args), rate);
     }
     assert!(!out.exists(), "a rejected rate still wrote artifacts");
+}
+
+/// The shared experiment flags reject bad values at startup instead of
+/// running with defaults; valid values still run.
+#[test]
+fn experiment_flags_fail_gracefully_on_bad_values() {
+    let exe = env!("CARGO_BIN_EXE_exp_e3");
+    let bad: [&[&str]; 9] = [
+        &["--jobs", "abc"],
+        &["--jobs", "0"],
+        &["--jobs"],
+        &["-j", "-1"],
+        &["--telemetry"],
+        &["--telemetry", "--jobs", "1"],
+        &["--flight-k", "abc"],
+        &["--flight-k", "0"],
+        &["--expose-every", "x"],
+    ];
+    for flags in bad {
+        let mut args = vec!["--quick"];
+        args.extend_from_slice(flags);
+        assert_graceful(&run_bin(exe, &args), &flags.join(" "));
+    }
+    let ok = run_bin(exe, &["--quick", "--jobs", "1"]);
+    assert!(ok.status.success(), "--jobs 1 must run: {ok:?}");
 }
 
 #[test]

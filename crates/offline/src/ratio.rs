@@ -42,7 +42,7 @@ pub fn competitive_ratio(network: &Network, result: &RunResult) -> RatioReport {
         result.violations
     );
     // Sample times: generation steps.
-    let mut sample_times: Vec<Time> = result.generated.values().copied().collect();
+    let mut sample_times: Vec<Time> = result.txns.values().map(|tx| tx.generated_at).collect();
     sample_times.sort_unstable();
     sample_times.dedup();
 

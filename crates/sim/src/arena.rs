@@ -14,8 +14,8 @@
 //! the arena churn tests.
 //!
 //! [`RuntimeState`] bundles the two arenas with the per-object requester
-//! index (every live transaction requesting each object) and the
-//! [`StepEffects`] accumulated between consecutive policy invocations —
+//! index (every live transaction requesting each object) and the policy
+//! window (the [`StepEffects`] between consecutive policy invocations) —
 //! the raw material for incremental `H'_t` maintenance in `dtm-core`.
 
 use crate::effects::StepEffects;
@@ -520,12 +520,12 @@ impl RuntimeState {
             .flat_map(|list| list.iter().copied())
     }
 
-    /// The effects accumulated since the last policy invocation.
+    /// The policy window: the effects since the last policy invocation.
     pub fn effects(&self) -> &StepEffects {
         &self.effects
     }
 
-    /// Mutable effects accumulator (engine-internal bookkeeping; exposed
+    /// Mutable policy window (engine-internal bookkeeping; exposed
     /// so harnesses and benchmarks can drive the state like the engine
     /// does).
     pub fn effects_mut(&mut self) -> &mut StepEffects {

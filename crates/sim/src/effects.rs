@@ -3,10 +3,12 @@
 //! Each call to [`crate::StepKernel::tick`] produces a [`StepEffects`]
 //! value describing what the step's phases did — objects created and
 //! delivered, transactions arrived / scheduled / committed / aborted,
-//! and object departures with their edge assignments. The same type is
-//! the accumulator behind [`crate::SystemView::step_effects`]: the
-//! changes between two consecutive policy invocations, which the
-//! incremental caches in `dtm-core` fold instead of rescanning the view.
+//! and object departures with their edge assignments. It is the step
+//! kernel's only write channel: every other record of a run is a fold of
+//! it. The same type is the policy window behind
+//! [`crate::SystemView::step_effects`]: the changes between two
+//! consecutive policy invocations, which the incremental caches in
+//! `dtm-core` fold instead of rescanning the view.
 //!
 //! Effects are purely descriptive. Consuming (or ignoring) them never
 //! changes engine behavior, and the per-tick value is rebuilt from
@@ -71,8 +73,8 @@ pub struct StepEffects {
 
 impl StepEffects {
     /// Drop every recorded change, keeping allocations for reuse. The
-    /// kernel calls this at the top of each tick (and on the
-    /// inter-policy accumulator right after each policy invocation).
+    /// kernel calls this at the top of each tick (and on the policy
+    /// window at each step end, before it takes the tick's tail).
     pub fn clear(&mut self) {
         self.t = 0;
         self.created.clear();
@@ -83,6 +85,24 @@ impl StepEffects {
         self.aborted.clear();
         self.departed.clear();
         self.live_after = 0;
+    }
+
+    /// Append `fx`'s head: the lists its tick fills before the policy
+    /// call (created, delivered, arrived).
+    pub(crate) fn extend_head(&mut self, fx: &StepEffects) {
+        self.created.extend_from_slice(&fx.created);
+        self.delivered.extend_from_slice(&fx.delivered);
+        self.arrived.extend_from_slice(&fx.arrived);
+    }
+
+    /// Become `fx`'s tail: the lists its tick fills after the policy call
+    /// (scheduled, committed, aborted, departed).
+    pub(crate) fn reset_to_tail(&mut self, fx: &StepEffects) {
+        self.clear();
+        self.scheduled.extend_from_slice(&fx.scheduled);
+        self.committed.extend_from_slice(&fx.committed);
+        self.aborted.extend_from_slice(&fx.aborted);
+        self.departed.extend_from_slice(&fx.departed);
     }
 
     /// True if the step changed nothing.

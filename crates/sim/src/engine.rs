@@ -42,17 +42,21 @@ use dtm_model::{Time, WorkloadSource};
 /// open-system switch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Retention {
-    /// Keep full per-transaction history: every transaction, its
-    /// generation time, its schedule entry and its commit time. Memory
-    /// grows with the total number of transactions — correct for closed
-    /// batches, where that total is the instance size. The default; all
-    /// pre-existing behavior (golden traces included) lives here.
+    /// Keep full per-transaction history: every transaction (with its
+    /// generation time), its schedule entry and its commit time, plus
+    /// the event log when [`EngineConfig::record_events`] is set — all
+    /// folded from each tick's [`crate::StepEffects`]. Memory grows with
+    /// the total number of transactions — correct for closed batches,
+    /// where that total is the instance size. The result's latency
+    /// summary is exact. The default; all pre-existing behavior (golden
+    /// traces included) lives here.
     Full,
     /// Open-system streaming: memory stays O(live set + objects) no
     /// matter how many transactions stream through. The per-transaction
     /// result maps stay empty; commit counts, makespan and sojourn
     /// latency are folded into scalars and a fixed-size
-    /// [`crate::Log2Histogram`] as transactions retire. Commits of
+    /// [`crate::Log2Histogram`] as transactions retire (the histogram is
+    /// filled under [`Retention::Full`] too, with no warmup). Commits of
     /// transactions generated before `warmup` are excluded from the
     /// latency histogram (but still counted), so steady-state
     /// percentiles are not polluted by the cold start.
@@ -60,13 +64,6 @@ pub enum Retention {
         /// Steps to exclude from the sojourn-latency histogram.
         warmup: Time,
     },
-}
-
-impl Retention {
-    /// True for [`Retention::Full`].
-    pub fn is_full(&self) -> bool {
-        matches!(self, Retention::Full)
-    }
 }
 
 /// Engine configuration.

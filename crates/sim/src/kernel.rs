@@ -17,14 +17,23 @@
 //! delivered / departed, transactions arrived / scheduled / committed /
 //! aborted) instead of mutating everything behind a closed function.
 //! [`crate::Engine::run`] is now a thin driver over this kernel; callers
-//! needing finer control use [`StepKernel::run_steps`],
+//! needing finer control use [`StepKernel::run_for`],
 //! [`StepKernel::run_until`], or the checkpoint/resume pair
 //! ([`StepKernel::checkpoint`] / [`RunCheckpoint::resume`]).
 //!
+//! **One write channel.** The phases mutate the §II state and record
+//! what they did only in the tick's [`StepEffects`] (plus the bodies of
+//! retired transactions, in a per-tick buffer). Everything else folds
+//! that record at two fixed points: before the policy call, the policy
+//! window ([`SystemView::step_effects`]) takes the tick's created,
+//! delivered and arrived items; at step end the window is reset to its
+//! scheduled, committed, aborted and departed items, the `RunLog` (kept
+//! iff [`Retention::Full`]) folds the tick, and the observers see it.
+//!
 //! **Resumability contract.** A checkpoint taken between two ticks
 //! captures *all* state the remaining steps depend on: the live set and
-//! schedule, object places, pending edge loads, the inter-policy
-//! effects accumulator, the workload source, and the policy itself (via
+//! schedule, object places, pending edge loads, the policy window, the
+//! full-retention log, the workload source, and the policy itself (via
 //! [`SchedulingPolicy::fork`], which also carries policy-owned state
 //! such as the message-level policy's forwarding trail). Resuming and
 //! driving to completion therefore produces a [`RunResult`]
@@ -35,10 +44,10 @@
 use crate::arena::RuntimeState;
 use crate::effects::{edge_key, Delivery, Departure, StepEffects};
 use crate::engine::{EngineConfig, Retention};
-use crate::events::Event;
-use crate::metrics::{LatencySummary, Log2Histogram, Metrics, RunResult, Violation};
+use crate::metrics::{Log2Histogram, Metrics, RunResult, Violation};
 use crate::observer::{Phase, StepObserver};
 use crate::policy::SchedulingPolicy;
+use crate::runlog::RunLog;
 use crate::state::{LiveTxn, ObjectPlace, ObjectState, SystemView};
 use dtm_graph::{Network, NodeId};
 use dtm_model::{ObjectId, ObjectInfo, Schedule, Time, Transaction, TxnId, WorkloadSource};
@@ -59,24 +68,17 @@ pub struct StepKernel<P, S> {
     /// Object specs not yet created, ordered by (created_at, id).
     // dtm-lint: bounded -- drained front-to-back by create_objects as created_at comes due
     pending_objects: VecDeque<ObjectInfo>,
-    /// Arena-backed live transactions, objects and the requester index.
+    /// Arena-backed live transactions, objects and the requester index,
+    /// plus the policy window (the effects since the last policy call).
     state: RuntimeState,
-    /// Transactions retired from the live arena (committed or aborted),
-    /// appended in retirement order. Kept only under full retention for
-    /// the result / validator; still-live leftovers (step-limit
-    /// truncations) are folded in at [`StepKernel::finish`]. An
-    /// append-only log instead of a `BTreeMap` keyed by id: the hot loop
-    /// pays one `Vec` push per retirement and the id-keyed maps the
-    /// result exposes are materialized once, at the end.
-    // dtm-lint: bounded -- full-retention log only; Retention::Streaming keeps it empty
+    /// The full-retention history folded from each tick's effects;
+    /// `Some` iff [`Retention::Full`].
+    log: Option<RunLog>,
+    /// Bodies of the transactions this tick retired (committed or
+    /// aborted), in retirement order: moved into the log at step end,
+    /// or dropped there under streaming retention.
+    // dtm-lint: bounded -- emptied at every step end; capacity plateaus at the largest retirement batch
     retired: Vec<Transaction>,
-    /// Append-only (txn, exec_at) log under full retention; materialized
-    /// into the result's [`Schedule`] at [`StepKernel::finish`].
-    // dtm-lint: bounded -- full-retention log only; Retention::Streaming keeps it empty
-    sched_log: Vec<(TxnId, Time)>,
-    /// Append-only (txn, commit time) log under full retention.
-    // dtm-lint: bounded -- full-retention log only; Retention::Streaming keeps it empty
-    commit_log: Vec<(TxnId, Time)>,
     /// Scheduled, uncommitted transactions ordered by (time, id).
     // dtm-lint: bounded -- entries leave at commit in phase_execute; O(scheduled live txns)
     exec_queue: BTreeSet<(Time, TxnId)>,
@@ -117,8 +119,6 @@ pub struct StepKernel<P, S> {
     /// (bit i = observer i; observers past bit 63 are always called).
     /// Recomputed at the top of every tick, never checkpointed.
     phase_mask: u64,
-    // dtm-lint: bounded -- drained into StepEffects every tick (or truncated under streaming)
-    events: Vec<Event>,
     // dtm-lint: bounded -- empty in correct runs; growth is itself the reported failure
     violations: Vec<Violation>,
     comm_cost: u64,
@@ -127,12 +127,13 @@ pub struct StepKernel<P, S> {
 
     /// Commits folded into scalars so streaming retention needs no maps.
     commit_count: u64,
-    /// Time of the latest commit (streaming-mode makespan).
+    /// Time of the latest commit (the makespan).
     last_commit: Time,
-    /// Steady-state sojourn latency (commit − generation), recorded only
-    /// under [`Retention::Streaming`] for transactions generated at or
-    /// after the warmup cutoff.
+    /// Sojourn latency (commit − generation) of the transactions
+    /// generated at or after `sojourn_warmup`.
     sojourn: Log2Histogram,
+    /// The streaming warmup cutoff; 0 under [`Retention::Full`].
+    sojourn_warmup: Time,
 
     /// Reusable buffer for the source's arrivals (phase 2): drained every
     /// tick, so the steady-state tick allocates nothing on quiet steps.
@@ -151,7 +152,8 @@ pub struct StepKernel<P, S> {
     // dtm-lint: bounded -- cleared every use; capacity plateaus at objects touched per step
     scratch_objs: Vec<ObjectId>,
 
-    /// Effects of the most recent tick (buffers reused across ticks).
+    /// Effects of the most recent tick (buffers reused across ticks):
+    /// the phases' only write channel besides the §II state.
     effects: StepEffects,
 }
 
@@ -255,6 +257,10 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         // Objects are created lazily at their creation step; collect specs.
         let mut pending: Vec<ObjectInfo> = source.objects().to_vec();
         pending.sort_by_key(|o| (o.created_at, o.id));
+        let (log, sojourn_warmup) = match config.retention {
+            Retention::Full => (Some(RunLog::new(config.record_events)), 0),
+            Retention::Streaming { warmup } => (None, warmup),
+        };
         StepKernel {
             network,
             policy,
@@ -263,16 +269,14 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
             now: 0,
             pending_objects: VecDeque::from(pending),
             state: RuntimeState::new(),
+            log,
             retired: Vec::new(),
-            sched_log: Vec::new(),
-            commit_log: Vec::new(),
             exec_queue: BTreeSet::new(),
             requesters: Vec::new(),
             transit: BinaryHeap::new(),
             edge_load: BTreeMap::new(),
             observers,
             phase_mask: 0,
-            events: Vec::new(),
             violations: Vec::new(),
             comm_cost: 0,
             hops: 0,
@@ -280,6 +284,7 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
             commit_count: 0,
             last_commit: 0,
             sojourn: Log2Histogram::new(),
+            sojourn_warmup,
             arrivals_buf: Vec::new(),
             scratch_moves: Vec::new(),
             scratch_due: Vec::new(),
@@ -367,8 +372,8 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         self.last_commit
     }
 
-    /// Steady-state sojourn latency histogram (commit − generation).
-    /// Populated only under [`Retention::Streaming`], and only for
+    /// Sojourn latency histogram (commit − generation), filled in every
+    /// retention mode; under [`Retention::Streaming`] only for
     /// transactions generated at or after the configured warmup.
     pub fn sojourn_latency(&self) -> &Log2Histogram {
         &self.sojourn
@@ -451,8 +456,9 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         let arrived = self.phase_generate(t);
         self.phase_end(t, Phase::Generate, arrived, mark);
 
-        // 3. Schedule.
+        // 3. Schedule. The policy window first takes this tick's head.
         let mark = phase_mark(timed);
+        self.state.effects_mut().extend_head(&self.effects);
         let fragment_len = self.phase_schedule(t);
         self.phase_end(t, Phase::Schedule, fragment_len, mark);
 
@@ -466,7 +472,14 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         let departed = self.phase_forward(t);
         self.phase_end(t, Phase::Forward, departed, mark);
 
+        // Step end. Until the next policy call the window holds only
+        // this tick's tail; retired bodies outlive the tick only in the log.
         self.effects.live_after = self.state.txns().len();
+        self.state.effects_mut().reset_to_tail(&self.effects);
+        if let Some(log) = &mut self.log {
+            log.fold(&self.effects, &self.state, &mut self.retired);
+        }
+        self.retired.clear();
         for obs in &mut self.observers {
             obs.on_step_end(&self.effects);
         }
@@ -475,22 +488,16 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
     }
 
     /// Advance at most `n` steps; returns how many actually ran (fewer
-    /// only when the run completed first).
-    pub fn run_steps(&mut self, n: u64) -> u64 {
+    /// only when the run completed first). On a never-exhausting source
+    /// this runs exactly `n` steps (step limit permitting); interleave
+    /// with [`StepKernel::status`] / [`StepKernel::live_count`] to watch
+    /// backlog evolve.
+    pub fn run_for(&mut self, n: u64) -> u64 {
         let mut ran = 0;
         while ran < n && self.tick().is_some() {
             ran += 1;
         }
         ran
-    }
-
-    /// Open-system vocabulary for [`StepKernel::run_steps`]: advance the
-    /// simulation by `n` further steps of wall-model time. On a
-    /// never-exhausting source this runs exactly `n` steps (step limit
-    /// permitting); interleave with [`StepKernel::status`] /
-    /// [`StepKernel::live_count`] to watch backlog evolve.
-    pub fn run_for(&mut self, n: u64) -> u64 {
-        self.run_steps(n)
     }
 
     /// Advance until `pred` accepts a tick's effects. Returns `true` if
@@ -525,16 +532,15 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 now: self.now,
                 pending_objects: self.pending_objects.clone(),
                 state: self.state.clone(),
-                retired: self.retired.clone(),
-                sched_log: self.sched_log.clone(),
-                commit_log: self.commit_log.clone(),
+                log: self.log.clone(),
+                // Empty between ticks.
+                retired: Vec::new(),
                 exec_queue: self.exec_queue.clone(),
                 requesters: self.requesters.clone(),
                 transit: self.transit.clone(),
                 edge_load: self.edge_load.clone(),
                 observers: Vec::new(),
                 phase_mask: 0,
-                events: self.events.clone(),
                 violations: self.violations.clone(),
                 comm_cost: self.comm_cost,
                 hops: self.hops,
@@ -542,6 +548,7 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 commit_count: self.commit_count,
                 last_commit: self.last_commit,
                 sojourn: self.sojourn.clone(),
+                sojourn_warmup: self.sojourn_warmup,
                 // Scratch buffers hold no state between ticks.
                 arrivals_buf: Vec::new(),
                 scratch_moves: Vec::new(),
@@ -561,9 +568,7 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         // max_steps + 1 with live transactions is the violation. A
         // clean finish (source exhausted, live set empty) at the same
         // step is *not* one.
-        if self.now > self.config.max_steps
-            && !(self.source.exhausted() && self.state.txns().is_empty())
-        {
+        if self.status() == RunStatus::StepLimit {
             let mut sample: Vec<TxnId> = self.state.txns().ids().collect();
             sample.sort_unstable();
             sample.truncate(Violation::MAX_REPORTED_LIVE);
@@ -572,48 +577,8 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 sample,
             });
         }
-        // Materialize the result's id-keyed maps from the append-only
-        // retirement logs (once, here — the hot loop only pushes). Full
-        // retention also folds in transactions still live at the end
-        // (step-limit truncations), so `txns` covers every generated
-        // transaction exactly as the old insert-at-arrival map did.
-        if self.config.retention.is_full() {
-            let mut live: Vec<TxnId> = self.state.txns().ids().collect();
-            live.sort_unstable();
-            for id in live {
-                let lt = self.state.txns().get(id).expect("live"); // dtm-lint: allow(C1) -- id was just collected from the live arena
-                self.retired.push(lt.txn.clone());
-            }
-        }
-        let commits: BTreeMap<TxnId, Time> = self.commit_log.iter().copied().collect();
-        let txns: BTreeMap<TxnId, Transaction> =
-            self.retired.into_iter().map(|tx| (tx.id, tx)).collect();
-        let generated: BTreeMap<TxnId, Time> =
-            txns.iter().map(|(&id, tx)| (id, tx.generated_at)).collect();
-        let mut schedule = Schedule::new();
-        for &(txn, exec_at) in &self.sched_log {
-            schedule.set(txn, exec_at);
-        }
-        let metrics = match self.config.retention {
-            Retention::Full => {
-                let latencies: Vec<Time> = commits
-                    .iter()
-                    .map(|(id, &c)| c - generated.get(id).copied().unwrap_or(0))
-                    .collect();
-                Metrics {
-                    makespan: commits.values().copied().max().unwrap_or(0),
-                    committed: commits.len(),
-                    comm_cost: self.comm_cost,
-                    hops: self.hops,
-                    latency: LatencySummary::from_samples(latencies),
-                    peak_live: self.peak_live,
-                    steps: self.now,
-                }
-            }
-            // Streaming retention: the per-transaction maps are empty by
-            // design; commits were folded into scalars and the sojourn
-            // histogram as they happened.
-            Retention::Streaming { .. } => Metrics {
+        let mut result = RunResult {
+            metrics: Metrics {
                 makespan: self.last_commit,
                 committed: self.commit_count as usize,
                 comm_cost: self.comm_cost,
@@ -622,25 +587,16 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 peak_live: self.peak_live,
                 steps: self.now,
             },
-        };
-        RunResult {
-            schedule,
-            commits,
-            generated,
-            txns,
-            metrics,
-            events: self.events,
             violations: self.violations,
             policy: self.policy.name(),
+            ..RunResult::default()
+        };
+        // Full retention swaps in the id-keyed maps and exact latency;
+        // streaming keeps them empty by design.
+        if let Some(log) = self.log {
+            log.seal(&self.state, &mut result);
         }
-    }
-
-    fn record(&mut self, e: Event) {
-        // An unbounded event log would defeat streaming's bounded-memory
-        // guarantee, so only full retention ever records.
-        if self.config.record_events && self.config.retention.is_full() {
-            self.events.push(e);
-        }
+        result
     }
 
     fn phase_end(&mut self, t: Time, phase: Phase, items: usize, started: Option<Instant>) {
@@ -665,25 +621,12 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
             }
             // dtm-lint: allow(C1) -- front() above returned Some, the deque is non-empty
             let info = self.pending_objects.pop_front().expect("non-empty");
-            self.record(Event::ObjectCreated {
-                t,
-                object: info.id,
-                node: info.origin,
-            });
             self.state.insert_object(ObjectState {
                 info,
                 place: ObjectPlace::At(info.origin),
                 last_holder: None,
             });
             self.effects.created.push(info.id);
-        }
-        // One batched append into the inter-policy accumulator (this
-        // phase is the only writer of `created` within a tick).
-        if !self.effects.created.is_empty() {
-            self.state
-                .effects_mut()
-                .created
-                .extend_from_slice(&self.effects.created);
         }
     }
 
@@ -728,23 +671,11 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                     None => debug_assert!(false, "delivery on untracked edge {key:?}"),
                 }
             }
-            let delivery = Delivery {
+            self.effects.delivered.push(Delivery {
                 object: id,
                 from,
                 node: next,
-            };
-            self.effects.delivered.push(delivery);
-            self.record(Event::Arrived {
-                t,
-                object: id,
-                node: next,
             });
-        }
-        if !self.effects.delivered.is_empty() {
-            self.state
-                .effects_mut()
-                .delivered
-                .extend_from_slice(&self.effects.delivered);
         }
         received
     }
@@ -757,22 +688,11 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         self.source.arrivals_into(t, &mut batch);
         for txn in batch.drain(..) {
             debug_assert_eq!(txn.generated_at, t, "source produced wrong time");
-            self.record(Event::Generated {
-                t,
-                txn: txn.id,
-                node: txn.home,
-            });
             self.effects.arrived.push(txn.id);
             self.state.insert_txn(LiveTxn {
                 txn,
                 scheduled: None,
             });
-        }
-        if !self.effects.arrived.is_empty() {
-            self.state
-                .effects_mut()
-                .arrived
-                .extend_from_slice(&self.effects.arrived);
         }
         self.arrivals_buf = batch;
         self.peak_live = self.peak_live.max(self.state.txns().len());
@@ -780,17 +700,15 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
     }
 
     /// Phase 3: consult the policy once and merge its fragment. The
-    /// view publishes the effects accumulated since the previous policy
-    /// call; they are cleared right after the policy returns, so
-    /// `apply_fragment` and the later phases of this step feed the
-    /// *next* call's accumulator. Returns the raw fragment length.
+    /// view publishes the policy window: every change since the previous
+    /// policy call (see the module docs). Returns the raw fragment
+    /// length.
     // dtm-lint: hot-path
     fn phase_schedule(&mut self, t: Time) -> usize {
         let fragment = {
             let view = SystemView::from_state(t, &self.network, &self.state);
             self.policy.step(&view, &self.effects.arrived)
         };
-        self.state.effects_mut().clear();
         let fragment_len = fragment.len();
         self.apply_fragment(fragment);
         fragment_len
@@ -823,9 +741,6 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
             let home = lt.txn.home;
             objects.clear();
             objects.extend(lt.txn.objects());
-            if self.config.retention.is_full() {
-                self.sched_log.push((txn, exec_at));
-            }
             self.exec_queue.insert((exec_at, txn));
             for &o in &objects {
                 let i = o.index();
@@ -839,17 +754,8 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 }
             }
             self.effects.scheduled.push((txn, exec_at));
-            self.record(Event::Scheduled { t, txn, exec_at });
         }
         self.scratch_objs = objects;
-        // The accumulator was cleared just before this call (see
-        // `phase_schedule`), so the batch feeds the *next* policy call.
-        if !self.effects.scheduled.is_empty() {
-            self.state
-                .effects_mut()
-                .scheduled
-                .extend_from_slice(&self.effects.scheduled);
-        }
     }
 
     /// Phase 4: commit every due transaction whose objects are
@@ -906,25 +812,11 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 self.effects.committed.push(txn_id);
                 self.commit_count += 1;
                 self.last_commit = t;
-                match self.config.retention {
-                    Retention::Full => {
-                        self.commit_log.push((txn_id, t));
-                    }
-                    Retention::Streaming { warmup } => {
-                        if txn.generated_at >= warmup {
-                            self.sojourn.record(t - txn.generated_at);
-                        }
-                    }
+                if txn.generated_at >= self.sojourn_warmup {
+                    self.sojourn.record(t - txn.generated_at);
                 }
-                self.record(Event::Committed {
-                    t,
-                    txn: txn_id,
-                    node: home,
-                });
                 self.source.on_commit(&txn, t);
-                if self.config.retention.is_full() {
-                    self.retired.push(txn);
-                }
+                self.retired.push(txn);
             } else if exec_at == t && !self.config.allow_late_execution {
                 // Missed its designated slot: scheduler/infrastructure bug.
                 self.violations.push(Violation::MissedExecution {
@@ -942,9 +834,7 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 self.effects.aborted.push(txn_id);
                 // Treat as aborted: tell the source so closed loops go on.
                 self.source.on_commit(&txn, t);
-                if self.config.retention.is_full() {
-                    self.retired.push(txn);
-                }
+                self.retired.push(txn);
             } else {
                 // allow_late_execution: stays queued, retried next step.
                 self.exec_queue.insert((exec_at, txn_id));
@@ -952,18 +842,6 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         }
         self.scratch_due = due;
         self.scratch_used = used_this_step;
-        if !self.effects.committed.is_empty() {
-            self.state
-                .effects_mut()
-                .committed
-                .extend_from_slice(&self.effects.committed);
-        }
-        if !self.effects.aborted.is_empty() {
-            self.state
-                .effects_mut()
-                .aborted
-                .extend_from_slice(&self.effects.aborted);
-        }
         self.effects.committed.len()
     }
 
@@ -1026,30 +904,16 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 arrive,
             };
             self.transit.push(Reverse((arrive, id)));
-            let departure = Departure {
-                object: id,
-                from: here,
-                to: next,
-                arrive,
-            };
-            self.effects.departed.push(departure);
-            self.comm_cost += w;
-            self.hops += 1;
-            self.record(Event::Departed {
-                t,
+            self.effects.departed.push(Departure {
                 object: id,
                 from: here,
                 to: next,
                 arrive,
             });
+            self.comm_cost += w;
+            self.hops += 1;
         }
         self.scratch_moves = moves;
-        if !self.effects.departed.is_empty() {
-            self.state
-                .effects_mut()
-                .departed
-                .extend_from_slice(&self.effects.departed);
-        }
         self.effects.departed.len()
     }
 }
@@ -1068,6 +932,7 @@ fn phase_mark(timed: bool) -> Option<Instant> {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::events::Event;
     use crate::policy::FixedSchedulePolicy;
     use dtm_graph::topology;
     use dtm_model::{Instance, TraceSource};
@@ -1149,15 +1014,115 @@ mod tests {
         assert_eq!(res.commits[&TxnId(1)], 3);
     }
 
+    /// Line of 4; the object rests at node 1, T0's home. T0 (home 1)
+    /// and T1 (home 3) are both scheduled at their generation step 0:
+    /// T0 commits and T1 misses its slot, both in the tick that
+    /// generated them.
+    fn same_tick_kernel() -> StepKernel<FixedSchedulePolicy, TraceSource> {
+        let inst = Instance::new(
+            vec![obj(0, 1)],
+            vec![txn(0, 1, &[0], 0), txn(1, 3, &[0], 0)],
+        );
+        let sched: Schedule = [(TxnId(0), 0), (TxnId(1), 0)].into_iter().collect();
+        Engine::new(
+            topology::line(4),
+            FixedSchedulePolicy::new(sched),
+            EngineConfig::default(),
+        )
+        .into_kernel(TraceSource::new(inst))
+    }
+
+    /// The event log is folded from the effects at step end, after both
+    /// transactions left the live arena: their homes come from the
+    /// tick's retired bodies.
     #[test]
-    fn run_steps_counts_partial_progress() {
-        let mut k = small_kernel();
-        assert_eq!(k.run_steps(2), 2);
-        assert_eq!(k.now(), 2);
-        // The run needs 4 steps total; asking for 10 runs only 2 more.
-        assert_eq!(k.run_steps(10), 2);
+    fn events_of_same_tick_retirements_carry_homes() {
+        let mut k = same_tick_kernel();
+        let fx = k.tick().expect("step 0 runs");
+        assert_eq!(fx.committed, vec![TxnId(0)]);
+        assert_eq!(fx.aborted, vec![TxnId(1)]);
         assert!(k.done());
-        assert_eq!(k.run_steps(10), 0);
+        let res = k.finish();
+        let (t, object) = (0, ObjectId(0));
+        assert_eq!(
+            res.events,
+            vec![
+                Event::ObjectCreated {
+                    t,
+                    object,
+                    node: NodeId(1)
+                },
+                Event::Generated {
+                    t,
+                    txn: TxnId(0),
+                    node: NodeId(1)
+                },
+                Event::Generated {
+                    t,
+                    txn: TxnId(1),
+                    node: NodeId(3)
+                },
+                Event::Scheduled {
+                    t,
+                    txn: TxnId(0),
+                    exec_at: 0
+                },
+                Event::Scheduled {
+                    t,
+                    txn: TxnId(1),
+                    exec_at: 0
+                },
+                Event::Committed {
+                    t,
+                    txn: TxnId(0),
+                    node: NodeId(1)
+                },
+            ]
+        );
+        assert_eq!(
+            res.violations,
+            vec![Violation::MissedExecution {
+                txn: TxnId(1),
+                scheduled: 0
+            }]
+        );
+        assert_eq!(res.txns.len(), 2, "aborted bodies are retained too");
+        assert_eq!(res.commits[&TxnId(0)], 0);
+    }
+
+    /// Between ticks the policy window holds exactly the last tick's
+    /// tail (scheduled, committed, aborted, departed); its head
+    /// (created, delivered, arrived) joins at the next policy call.
+    #[test]
+    fn window_holds_the_last_ticks_tail() {
+        for mut k in [small_kernel(), same_tick_kernel()] {
+            while let Some(fx) = k.tick().cloned() {
+                let w = k.view().step_effects();
+                assert!(w.created.is_empty() && w.delivered.is_empty() && w.arrived.is_empty());
+                assert_eq!(w.scheduled, fx.scheduled);
+                assert_eq!(w.committed, fx.committed);
+                assert_eq!(w.aborted, fx.aborted);
+                assert_eq!(w.departed, fx.departed);
+            }
+        }
+        // The same-tick kernel's window carries a commit and an abort.
+        let mut k = same_tick_kernel();
+        k.tick();
+        let w = k.view().step_effects();
+        assert_eq!((w.committed.len(), w.aborted.len()), (1, 1));
+    }
+
+    /// The sojourn histogram is filled under full retention too (no
+    /// warmup), and agrees with the exact latency summary's count.
+    #[test]
+    fn full_retention_fills_the_sojourn_histogram() {
+        let mut k = small_kernel();
+        while k.tick().is_some() {}
+        let sojourns = k.sojourn_latency().count();
+        let res = k.finish();
+        assert_eq!(sojourns, res.metrics.committed as u64);
+        assert_eq!(res.metrics.latency.count, res.metrics.committed);
+        assert_eq!(res.metrics.latency.max, 3);
     }
 
     #[test]
@@ -1175,7 +1140,7 @@ mod tests {
     fn checkpoint_resume_matches_uninterrupted() {
         let uninterrupted = small_kernel().finish();
         let mut k = small_kernel();
-        k.run_steps(2);
+        k.run_for(2);
         let cp = k.checkpoint();
         assert_eq!(cp.now(), 2);
         // The original keeps running; the resumed copy must agree.
@@ -1190,7 +1155,7 @@ mod tests {
     #[test]
     fn view_exposes_current_state() {
         let mut k = small_kernel();
-        k.run_steps(1);
+        k.run_for(1);
         let view = k.view();
         assert_eq!(view.now, 1);
         assert_eq!(view.live_count(), 2);
@@ -1246,7 +1211,6 @@ mod tests {
         // Bounded-memory contract: no per-transaction history retained.
         assert!(res.txns.is_empty());
         assert!(res.commits.is_empty());
-        assert!(res.generated.is_empty());
         assert!(res.schedule.is_empty());
         assert!(res.events.is_empty());
     }
@@ -1274,16 +1238,19 @@ mod tests {
         assert_eq!(k.sojourn_latency().max(), 2); // committed 3 − generated 1
     }
 
-    /// `run_for` on a streaming kernel advances exactly the requested
-    /// number of steps while the run stays open.
+    /// `run_for` advances exactly the requested number of steps while
+    /// the run stays open, and counts partial progress once it drains.
     #[test]
     fn run_for_advances_open_runs_step_by_step() {
         let mut k = small_kernel();
         assert_eq!(k.run_for(2), 2);
         assert_eq!(k.now(), 2);
         assert_eq!(k.status(), RunStatus::Open);
-        assert_eq!(k.run_for(10), 2); // drains after 4 total
+        // The run needs 4 steps total; asking for 10 runs only 2 more.
+        assert_eq!(k.run_for(10), 2);
         assert_eq!(k.status(), RunStatus::Drained);
+        assert!(k.done());
+        assert_eq!(k.run_for(10), 0);
     }
 
     /// Edge-load accounting round-trips exactly across a multi-hop run
@@ -1353,5 +1320,7 @@ mod tests {
             res.violations[..],
             [Violation::MaxStepsExceeded { live: 1, .. }]
         ));
+        // The still-live transaction is retained with the retired ones.
+        assert_eq!(res.txns.keys().copied().collect::<Vec<_>>(), [TxnId(0)]);
     }
 }

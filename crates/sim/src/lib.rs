@@ -24,9 +24,11 @@
 //! **Open-system mode.** Under [`engine::Retention::Streaming`] the
 //! [`kernel::StepKernel`] runs indefinitely against never-exhausting
 //! sources (e.g. [`dtm_model::OpenLoopSource`]) in bounded memory: the
-//! transaction arena recycles slots through a free list, per-transaction
-//! result maps stay empty, and steady-state sojourn latency folds into a
-//! fixed-size [`metrics::Log2Histogram`]. Drive such runs with
+//! transaction arena recycles slots through a free list, no history is
+//! folded from the kernel's per-tick [`effects::StepEffects`] (its one
+//! write channel), per-transaction result maps stay empty, and
+//! steady-state sojourn latency folds into a fixed-size
+//! [`metrics::Log2Histogram`]. Drive such runs with
 //! [`kernel::StepKernel::run_for`] / `run_until` and read
 //! [`kernel::StepKernel::status`] for the drained-versus-open split.
 
@@ -42,6 +44,7 @@ pub mod kernel;
 pub mod metrics;
 pub mod observer;
 pub mod policy;
+mod runlog;
 pub mod state;
 pub mod validate;
 

@@ -269,16 +269,14 @@ pub struct Metrics {
 }
 
 /// Everything a run produces.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunResult {
     /// Final merged schedule (txn -> execution time).
     pub schedule: Schedule,
     /// Commit time per transaction.
     pub commits: BTreeMap<TxnId, Time>,
-    /// Generation time per transaction.
-    pub generated: BTreeMap<TxnId, Time>,
-    /// Every transaction seen during the run (needed by the validator and
-    /// by post-processing).
+    /// Every transaction seen during the run, each carrying its
+    /// generation time (needed by the validator and by post-processing).
     pub txns: BTreeMap<TxnId, Transaction>,
     /// Aggregate metrics.
     pub metrics: Metrics,
@@ -300,7 +298,7 @@ impl RunResult {
     pub fn latencies(&self) -> Vec<(TxnId, Time)> {
         self.commits
             .iter()
-            .map(|(&id, &c)| (id, c - self.generated.get(&id).copied().unwrap_or(0)))
+            .map(|(&id, &c)| (id, c - self.txns.get(&id).map_or(0, |tx| tx.generated_at)))
             .collect()
     }
 
@@ -448,14 +446,8 @@ mod congestion_tests {
 
     fn result_with_events(events: Vec<Event>) -> RunResult {
         RunResult {
-            schedule: Schedule::new(),
-            commits: BTreeMap::new(),
-            generated: BTreeMap::new(),
-            txns: BTreeMap::new(),
-            metrics: Metrics::default(),
             events,
-            violations: vec![],
-            policy: "test".into(),
+            ..RunResult::default()
         }
     }
 

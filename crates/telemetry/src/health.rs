@@ -142,6 +142,15 @@ pub struct HealthEvent {
     pub kind: HealthEventKind,
 }
 
+/// Half-window backlog slope: the early and late means, each half given
+/// as `(sum, samples)` (mean 0 when empty), and `(late − early) / h`.
+/// Shared by the overload detector and the E17/E18 stability sweep.
+pub fn half_window_slope(early: (u128, u64), late: (u128, u64), h: u64) -> (f64, f64, f64) {
+    let mean = |(sum, n): (u128, u64)| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+    let (early, late) = (mean(early), mean(late));
+    (early, late, (late - early) / h as f64)
+}
+
 /// Oldest-live-transaction sample size carried by each event.
 pub const CONTEXT_SAMPLE: usize = 4;
 
@@ -366,10 +375,8 @@ impl HealthMonitor {
         let diff = self.late_sum as f64 - self.early_sum as f64;
         if self.overload_armed && diff > self.fire_thresh {
             self.overload_armed = false;
-            let hf = h as f64;
-            let early = self.early_sum as f64 / hf;
-            let late = self.late_sum as f64 / hf;
-            return Some((early, late, (late - early) / hf));
+            let (early, late, h) = (self.early_sum.into(), self.late_sum.into(), h as u64);
+            return Some(half_window_slope((early, h), (late, h), h));
         }
         if !self.overload_armed && diff <= self.fire_thresh * 0.5 {
             self.overload_armed = true;
@@ -522,6 +529,15 @@ mod tests {
             live_after: live,
             ..StepEffects::default()
         }
+    }
+
+    /// Means per half, 0 for an empty half, and their difference over
+    /// the half-window length (not over the sample count).
+    #[test]
+    fn half_window_slope_divides_mean_gap_by_h() {
+        assert_eq!(half_window_slope((10, 4), (30, 4), 4), (2.5, 7.5, 1.25));
+        assert_eq!(half_window_slope((0, 0), (12, 3), 2), (0.0, 4.0, 2.0));
+        assert_eq!(half_window_slope((0, 0), (0, 0), 1), (0.0, 0.0, 0.0));
     }
 
     fn cfg_small() -> HealthConfig {

@@ -54,7 +54,8 @@ pub use flight::{
     FlightRecorderHandle, ObservabilityStack, DEFAULT_FLIGHT_K, DEFAULT_FLIGHT_TIMING_SAMPLE,
 };
 pub use health::{
-    health_monitor, HealthConfig, HealthEvent, HealthEventKind, HealthMonitor, HealthMonitorHandle,
+    half_window_slope, health_monitor, HealthConfig, HealthEvent, HealthEventKind, HealthMonitor,
+    HealthMonitorHandle,
 };
 pub use registry::{
     Counter, Gauge, Histogram, HistogramBucket, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,

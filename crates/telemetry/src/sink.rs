@@ -214,7 +214,7 @@ pub fn record_run(result: &RunResult, registry: &MetricsRegistry) {
         .add(result.metrics.committed as u64);
     registry
         .counter(run_names::GENERATED)
-        .add(result.generated.len() as u64);
+        .add(result.txns.len() as u64);
     registry
         .counter(run_names::VIOLATIONS)
         .add(result.violations.len() as u64);
@@ -225,13 +225,13 @@ pub fn record_run(result: &RunResult, registry: &MetricsRegistry) {
 
     let queue_wait = registry.histogram(run_names::QUEUE_WAIT);
     for (txn, exec_at) in result.schedule.iter() {
-        if let Some(&generated) = result.generated.get(&txn) {
-            queue_wait.record(exec_at.saturating_sub(generated));
+        if let Some(tx) = result.txns.get(&txn) {
+            queue_wait.record(exec_at.saturating_sub(tx.generated_at));
         }
     }
     let ttc = registry.histogram(run_names::TIME_TO_COMMIT);
     for (txn, commit) in &result.commits {
-        let generated = result.generated.get(txn).copied().unwrap_or(0);
+        let generated = result.txns.get(txn).map_or(0, |tx| tx.generated_at);
         ttc.record(commit.saturating_sub(generated));
     }
     if !result.events.is_empty() {

@@ -62,13 +62,13 @@ impl RunTrace {
         }
     }
 
-    /// Rebuild a [`RunResult`] (schedule, commits and generation times
-    /// recovered from the event log) — enough for
+    /// Rebuild a [`RunResult`] (schedule and commits recovered from the
+    /// event log, transactions with their generation times from the
+    /// trace) — enough for
     /// [`dtm_sim::render_timeline`] and offline re-validation.
     pub fn to_run_result(&self) -> RunResult {
         let mut schedule = dtm_model::Schedule::new();
         let mut commits = BTreeMap::new();
-        let mut generated = BTreeMap::new();
         for e in &self.events {
             match *e {
                 Event::Scheduled { txn, exec_at, .. } => {
@@ -77,16 +77,12 @@ impl RunTrace {
                 Event::Committed { t, txn, .. } => {
                     commits.insert(txn, t);
                 }
-                Event::Generated { t, txn, .. } => {
-                    generated.insert(txn, t);
-                }
                 _ => {}
             }
         }
         RunResult {
             schedule,
             commits,
-            generated,
             txns: self.txns.iter().map(|t| (t.id, t.clone())).collect(),
             metrics: self.metrics.clone(),
             events: self.events.clone(),
@@ -535,7 +531,7 @@ mod tests {
         let trace = tiny_trace();
         let res = trace.to_run_result();
         assert_eq!(res.commits[&TxnId(0)], 1);
-        assert_eq!(res.generated[&TxnId(0)], 0);
+        assert_eq!(res.txns[&TxnId(0)].generated_at, 0);
         assert_eq!(res.schedule.get(TxnId(0)), Some(1));
         assert_eq!(res.txns.len(), 1);
         assert_eq!(res.policy, "test");

@@ -74,7 +74,7 @@ where
     let mut kernel = Engine::new(net.clone(), policy, config)
         .with_observer(Arc::clone(&sink))
         .into_kernel(TraceSource::new(inst));
-    let ran = kernel.run_steps(CHECKPOINT_AT);
+    let ran = kernel.run_for(CHECKPOINT_AT);
     assert_eq!(ran, CHECKPOINT_AT, "{label}: run ended before checkpoint");
     let checkpoint = kernel.checkpoint();
     assert_eq!(checkpoint.now(), CHECKPOINT_AT);
@@ -195,10 +195,10 @@ fn checkpoint_is_isolated_from_the_original() {
 
     let mut kernel = Engine::new(net, GreedyPolicy::new(), EngineConfig::default())
         .into_kernel(TraceSource::new(inst));
-    kernel.run_steps(CHECKPOINT_AT);
+    kernel.run_for(CHECKPOINT_AT);
     let checkpoint = kernel.checkpoint();
     // Drive the original well past the checkpoint before resuming.
-    kernel.run_steps(10);
+    kernel.run_for(10);
     let original = kernel.finish();
     let resumed = checkpoint.resume().finish();
     assert_eq!(render(&reference), render(&original));

@@ -85,7 +85,7 @@ fn observed_run(
 fn assert_identical(name: &str, bare: &RunResult, observed: &RunResult) {
     assert_eq!(bare.schedule, observed.schedule, "{name}: schedule");
     assert_eq!(bare.commits, observed.commits, "{name}: commits");
-    assert_eq!(bare.generated, observed.generated, "{name}: generation");
+    assert_eq!(bare.txns, observed.txns, "{name}: transactions");
     assert_eq!(bare.events, observed.events, "{name}: event log");
     assert_eq!(
         format!("{:?}", bare.metrics),
