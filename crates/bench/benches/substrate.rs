@@ -2,8 +2,9 @@
 //! cover construction, weighted coloring, batch scheduling, lower bounds,
 //! the runtime-state query layer, open-loop arrival generation and a full
 //! engine run. These dominate each simulated "time step" in practice.
+//! One row times the end-of-run seal of a full-retention batch.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dtm_core::{smallest_valid_color, ColorConstraint, GreedyPolicy};
 use dtm_graph::{topology, NodeId, ShortestPathTree, SparseCover};
 use dtm_model::{
@@ -226,6 +227,44 @@ fn bench_engine_run(c: &mut Criterion) {
     );
 }
 
+/// `finish()` alone on the benchmark's closed batch (`perfbench`'s
+/// `batch-hypercube8`: Greedy on `hypercube(8)`, seed 23, Bernoulli 0.004
+/// per node per step over a 10⁵-step horizon, ~10⁵ transactions): set-up
+/// drains the kernel tick by tick, so the timed part is sealing the
+/// full-retention logs into the `RunResult` (and dropping it).
+fn bench_finish_batch(c: &mut Criterion) {
+    let net = topology::hypercube(8);
+    let spec = WorkloadSpec {
+        num_objects: 32,
+        k: 2,
+        object_choice: ObjectChoice::Uniform,
+        arrival: FiniteArrivals::Bernoulli {
+            rate: 0.004,
+            horizon: 100_000,
+        },
+    };
+    let inst = WorkloadGenerator::new(spec, 23).generate(&net);
+    let cfg = EngineConfig {
+        record_events: false,
+        ..EngineConfig::default()
+    };
+    c.bench_function("substrate/engine/finish-batch-hypercube8", |b| {
+        b.iter_batched(
+            || {
+                let mut kernel = Engine::new(net.clone(), GreedyPolicy::new(), cfg.clone())
+                    .into_kernel(TraceSource::new(inst.clone()));
+                while kernel.tick().is_some() {}
+                kernel
+            },
+            |kernel| {
+                let res = kernel.finish();
+                std::hint::black_box((res.txns.len(), res.metrics.latency.p95))
+            },
+            BatchSize::LargeInput,
+        )
+    });
+}
+
 /// 1000 ticks of an open-loop Poisson source at ρ=0.4 on a 10⁴-node
 /// geometric graph: one Bernoulli draw per node per tick, ~400 arrivals.
 /// The source runs on across iterations (Poisson is stateless in `t`),
@@ -321,6 +360,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_dijkstra, bench_sparse_cover, bench_coloring, bench_list_scheduler, bench_lower_bound, bench_requesters_of, bench_open_loop_tick, bench_engine_run, bench_scale
+    targets = bench_dijkstra, bench_sparse_cover, bench_coloring, bench_list_scheduler, bench_lower_bound, bench_requesters_of, bench_open_loop_tick, bench_engine_run, bench_finish_batch, bench_scale
 }
 criterion_main!(benches);

@@ -26,7 +26,7 @@
 //! sources (e.g. [`dtm_model::OpenLoopSource`]) in bounded memory: the
 //! transaction arena recycles slots through a free list, no history is
 //! folded from the kernel's per-tick [`effects::StepEffects`] (its one
-//! write channel), per-transaction result maps stay empty, and
+//! write channel), per-transaction result columns stay empty, and
 //! steady-state sojourn latency folds into a fixed-size
 //! [`metrics::Log2Histogram`]. Drive such runs with
 //! [`kernel::StepKernel::run_for`] / `run_until` and read
@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
+pub mod column;
 pub mod effects;
 pub mod engine;
 pub mod events;
@@ -49,6 +50,7 @@ pub mod state;
 pub mod validate;
 
 pub use arena::{IdWindow, ObjectArena, RuntimeState, TxnArena};
+pub use column::{IdColumn, IdEntry};
 pub use effects::{Delivery, Departure, StepEffects};
 pub use engine::{run_policy, Engine, EngineConfig, Retention};
 pub use events::Event;

@@ -1,5 +1,6 @@
 //! Run results and execution-quality metrics.
 
+use crate::column::IdColumn;
 use crate::events::Event;
 use dtm_model::{Schedule, Time, Transaction, TxnId};
 use serde::{Deserialize, Serialize};
@@ -273,11 +274,12 @@ pub struct Metrics {
 pub struct RunResult {
     /// Final merged schedule (txn -> execution time).
     pub schedule: Schedule,
-    /// Commit time per transaction.
-    pub commits: BTreeMap<TxnId, Time>,
-    /// Every transaction seen during the run, each carrying its
-    /// generation time (needed by the validator and by post-processing).
-    pub txns: BTreeMap<TxnId, Transaction>,
+    /// Commit time per transaction, in id order.
+    pub commits: IdColumn<(TxnId, Time)>,
+    /// Every transaction seen during the run in id order, each carrying
+    /// its generation time (needed by the validator and by
+    /// post-processing).
+    pub txns: IdColumn<Transaction>,
     /// Aggregate metrics.
     pub metrics: Metrics,
     /// Event log (empty when event recording is disabled).
@@ -294,12 +296,24 @@ impl RunResult {
         self.violations.is_empty()
     }
 
-    /// Per-transaction execution duration `commit - generated`.
+    /// Per-transaction execution duration `commit - generated`, in id
+    /// order.
     pub fn latencies(&self) -> Vec<(TxnId, Time)> {
-        self.commits
-            .iter()
-            .map(|(&id, &c)| (id, c - self.txns.get(&id).map_or(0, |tx| tx.generated_at)))
-            .collect()
+        self.latency_iter().collect()
+    }
+
+    /// [`RunResult::latencies`] as a merge-join of the two id-sorted
+    /// columns: one forward pass over `txns`, no lookup per commit. A
+    /// commit without a body counts from generation time 0.
+    pub(crate) fn latency_iter(&self) -> impl Iterator<Item = (TxnId, Time)> + '_ {
+        let mut bodies = self.txns.as_slice().iter().peekable();
+        self.commits.as_slice().iter().map(move |&(id, commit)| {
+            while bodies.next_if(|tx| tx.id < id).is_some() {}
+            let generated = bodies
+                .next_if(|tx| tx.id == id)
+                .map_or(0, |tx| tx.generated_at);
+            (id, commit - generated)
+        })
     }
 
     /// Assert the run is clean; panics with diagnostics otherwise.

@@ -6,6 +6,7 @@
 //! driven without an engine still seals a full result.
 
 use crate::arena::RuntimeState;
+use crate::column::IdColumn;
 use crate::effects::StepEffects;
 use crate::events::Event;
 use crate::metrics::{LatencySummary, RunResult};
@@ -86,20 +87,27 @@ impl RunLog {
         self.retired.append(retired);
     }
 
-    /// Seal the run into `result`: the schedule, commit and transaction
-    /// maps (the transactions still `live` at a step-limit stop included,
-    /// so `txns` covers every generated one), the exact latency summary
-    /// and the event log.
-    pub(crate) fn seal(self, live: &RuntimeState, result: &mut RunResult) {
-        let still_live = live.txns().iter().map(|lt| lt.txn.clone());
-        let txns = self.retired.into_iter().chain(still_live);
-        result.txns = txns.map(|tx| (tx.id, tx)).collect();
-        result.commits = self.committed.into_iter().collect();
-        let latencies = result.latencies().into_iter().map(|(_, l)| l).collect();
+    /// Seal the run into `result`: the transaction and commit columns
+    /// (the transactions still `live` at a step-limit stop included, so
+    /// `txns` covers every generated one), the schedule, the exact
+    /// latency summary and the event log.
+    ///
+    /// Each log is sorted in place by `(id, time)`. An id is live at most
+    /// once at a time and a reissue is generated, scheduled and committed
+    /// strictly after its predecessor retired, so among equal ids that
+    /// order is log order, and keeping the last reproduces what
+    /// collecting the log into a map kept.
+    pub(crate) fn seal(mut self, live: &RuntimeState, result: &mut RunResult) {
+        let mut txns = self.retired;
+        txns.extend(live.txns().iter().map(|lt| lt.txn.clone()));
+        txns.sort_unstable_by_key(|tx| (tx.id, tx.generated_at));
+        result.txns = IdColumn::from_sorted(txns);
+        self.committed.sort_unstable();
+        result.commits = IdColumn::from_sorted(self.committed);
+        let latencies = result.latency_iter().map(|(_, l)| l).collect();
         result.metrics.latency = LatencySummary::from_samples(latencies);
-        for (txn, exec_at) in self.scheduled {
-            result.schedule.set(txn, exec_at);
-        }
+        self.scheduled.sort_unstable();
+        result.schedule = self.scheduled.into_iter().collect();
         result.events = self.events.unwrap_or_default();
     }
 }

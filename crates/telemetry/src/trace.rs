@@ -67,23 +67,19 @@ impl RunTrace {
     /// trace) — enough for
     /// [`dtm_sim::render_timeline`] and offline re-validation.
     pub fn to_run_result(&self) -> RunResult {
-        let mut schedule = dtm_model::Schedule::new();
-        let mut commits = BTreeMap::new();
+        let mut scheduled = Vec::new();
+        let mut committed = Vec::new();
         for e in &self.events {
             match *e {
-                Event::Scheduled { txn, exec_at, .. } => {
-                    schedule.set(txn, exec_at);
-                }
-                Event::Committed { t, txn, .. } => {
-                    commits.insert(txn, t);
-                }
+                Event::Scheduled { txn, exec_at, .. } => scheduled.push((txn, exec_at)),
+                Event::Committed { t, txn, .. } => committed.push((txn, t)),
                 _ => {}
             }
         }
         RunResult {
-            schedule,
-            commits,
-            txns: self.txns.iter().map(|t| (t.id, t.clone())).collect(),
+            schedule: scheduled.into_iter().collect(),
+            commits: committed.into_iter().collect(),
+            txns: self.txns.iter().cloned().collect(),
             metrics: self.metrics.clone(),
             events: self.events.clone(),
             violations: self.violations.clone(),
