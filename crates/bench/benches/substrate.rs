@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the substrates: shortest paths, sparse
 //! cover construction, weighted coloring, batch scheduling, lower bounds,
-//! the runtime-state query layer, open-loop arrival generation and a full
-//! engine run. These dominate each simulated "time step" in practice.
+//! the runtime-state query layer, open-loop arrival generation, batch
+//! instance generation and a full engine run. These dominate each
+//! simulated "time step" in practice.
 //! One row times the end-of-run seal of a full-retention batch.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -227,14 +228,11 @@ fn bench_engine_run(c: &mut Criterion) {
     );
 }
 
-/// `finish()` alone on the benchmark's closed batch (`perfbench`'s
-/// `batch-hypercube8`: Greedy on `hypercube(8)`, seed 23, Bernoulli 0.004
-/// per node per step over a 10⁵-step horizon, ~10⁵ transactions): set-up
-/// drains the kernel tick by tick, so the timed part is sealing the
-/// full-retention logs into the `RunResult` (and dropping it).
-fn bench_finish_batch(c: &mut Criterion) {
-    let net = topology::hypercube(8);
-    let spec = WorkloadSpec {
+/// The spec of `perfbench`'s `batch-hypercube8` instance: 32 uniform
+/// objects, k=2, Bernoulli 0.004 per node per step over a 10⁵-step
+/// horizon.
+fn batch_hypercube8_spec() -> WorkloadSpec {
+    WorkloadSpec {
         num_objects: 32,
         k: 2,
         object_choice: ObjectChoice::Uniform,
@@ -242,8 +240,17 @@ fn bench_finish_batch(c: &mut Criterion) {
             rate: 0.004,
             horizon: 100_000,
         },
-    };
-    let inst = WorkloadGenerator::new(spec, 23).generate(&net);
+    }
+}
+
+/// `finish()` alone on the benchmark's closed batch (`perfbench`'s
+/// `batch-hypercube8`: Greedy on `hypercube(8)`, seed 23, Bernoulli 0.004
+/// per node per step over a 10⁵-step horizon, ~10⁵ transactions): set-up
+/// drains the kernel tick by tick, so the timed part is sealing the
+/// full-retention logs into the `RunResult` (and dropping it).
+fn bench_finish_batch(c: &mut Criterion) {
+    let net = topology::hypercube(8);
+    let inst = WorkloadGenerator::new(batch_hypercube8_spec(), 23).generate(&net);
     let cfg = EngineConfig {
         record_events: false,
         ..EngineConfig::default()
@@ -262,6 +269,20 @@ fn bench_finish_batch(c: &mut Criterion) {
             },
             BatchSize::LargeInput,
         )
+    });
+}
+
+/// The perfbench batch-hypercube8 instance generated from scratch: one
+/// Bernoulli draw per node per step over the 10⁵-step horizon
+/// (2.56·10⁷ draws), then the object sets of ~10⁵ transactions.
+fn bench_instance_gen(c: &mut Criterion) {
+    let net = topology::hypercube(8);
+    let spec = batch_hypercube8_spec();
+    c.bench_function("substrate/model/instance-gen-hypercube8", |b| {
+        b.iter(|| {
+            let inst = WorkloadGenerator::new(spec.clone(), 23).generate(&net);
+            std::hint::black_box(inst.txns.len())
+        })
     });
 }
 
@@ -360,6 +381,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_dijkstra, bench_sparse_cover, bench_coloring, bench_list_scheduler, bench_lower_bound, bench_requesters_of, bench_open_loop_tick, bench_engine_run, bench_finish_batch, bench_scale
+    targets = bench_dijkstra, bench_sparse_cover, bench_coloring, bench_list_scheduler, bench_lower_bound, bench_requesters_of, bench_open_loop_tick, bench_instance_gen, bench_engine_run, bench_finish_batch, bench_scale
 }
 criterion_main!(benches);

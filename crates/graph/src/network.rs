@@ -126,6 +126,19 @@ impl Network {
         self.landmark().distance(u, v)
     }
 
+    /// [`Network::distance`]`(·, v)` for one fixed `v`, for callers that
+    /// measure many nodes against the same target. On the landmark tier the
+    /// per-target reads happen once (see
+    /// [`LandmarkOracle::distances_to`]); the other tiers answer each query
+    /// through [`Network::distance`].
+    pub fn distances_to(&self, v: NodeId) -> impl Fn(NodeId) -> Weight + '_ {
+        let landmark = (self.routing_tier() == "landmark").then(|| self.landmark().distances_to(v));
+        move |u| match &landmark {
+            Some(to_v) => to_v(u),
+            None => self.distance(u, v),
+        }
+    }
+
     /// First hop from `from` on a shortest path toward `target` (on the
     /// landmark tier: on the oracle's routed path, whose total cost never
     /// exceeds [`Network::distance`]).
@@ -495,6 +508,30 @@ mod metric_tests {
                         prop_assert!(duv <= duw + dwv, "triangle violated");
                     }
                 }
+            }
+        }
+
+        /// `distances_to(v)` answers exactly as `distance(·, v)` on every
+        /// tier: structured, lazy trees and landmarks.
+        #[test]
+        fn distances_to_matches_distance(seed in 0u64..8, topo in 0u8..3) {
+            let net = match topo {
+                0 => topology::torus(&[5, 6]),
+                1 => topology::random(40, 3, 5, seed),
+                _ => topology::random(LAZY_LIMIT as u32 + 200, 3, 5, seed),
+            };
+            prop_assert_eq!(
+                net.routing_tier(),
+                ["structured", "lazy-tree", "landmark"][topo as usize]
+            );
+            let n = net.n() as u32;
+            let step = (n / 37).max(1) as usize;
+            for v in (seed as u32 % n..n).step_by(step) {
+                let to_v = net.distances_to(NodeId(v));
+                for u in (0..n).step_by(step / 3 + 1) {
+                    prop_assert_eq!(to_v(NodeId(u)), net.distance(NodeId(u), NodeId(v)));
+                }
+                prop_assert_eq!(to_v(NodeId(v)), 0);
             }
         }
 

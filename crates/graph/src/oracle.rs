@@ -62,6 +62,11 @@ use crate::shortest_paths::ShortestPathTree;
 /// `R` but add a full Dijkstra + `O(n)` memory each at build time.
 pub const DEFAULT_LANDMARKS: usize = 16;
 
+/// Most landmarks [`LandmarkOracle::build_with`] places, so that
+/// [`LandmarkOracle::distances_to`] can gather a target's distance to
+/// every landmark into a fixed array.
+pub const MAX_LANDMARKS: usize = 64;
+
 /// One landmark's shortest-path tree and its preorder layout (see the
 /// module docs).
 struct LandmarkTree {
@@ -121,7 +126,8 @@ impl LandmarkOracle {
         Self::build_with(graph, DEFAULT_LANDMARKS)
     }
 
-    /// Build with an explicit landmark budget (`k` clamped to `[1, n]`).
+    /// Build with an explicit landmark budget (`k` clamped to
+    /// `[1, min(n, MAX_LANDMARKS)]`).
     ///
     /// Landmarks are chosen by farthest-point sampling seeded at node 0:
     /// each round adds the node maximizing the distance to the landmarks
@@ -130,7 +136,7 @@ impl LandmarkOracle {
     pub fn build_with(graph: &Graph, k: usize) -> Self {
         let n = graph.n();
         assert!(n > 0, "landmark oracle needs a non-empty graph");
-        let k = k.clamp(1, n).min(u16::MAX as usize);
+        let k = k.clamp(1, n.min(MAX_LANDMARKS));
         let mut trees: Vec<LandmarkTree> = Vec::with_capacity(k);
         let mut home: Vec<u16> = vec![0; n];
         let mut home_dist: Vec<Weight> = vec![Weight::MAX; n];
@@ -217,6 +223,27 @@ impl LandmarkOracle {
         self.est(u, v).max(self.est(v, u))
     }
 
+    /// [`LandmarkOracle::distance`]`(·, v)` for one fixed `v`. The
+    /// estimate out of `v` reads `v`'s distance in the tree of each
+    /// queried node's home landmark; those distances are gathered once
+    /// here, so a query reads only the one tree toward `v` and the queried
+    /// node's own entries.
+    pub fn distances_to(&self, v: NodeId) -> impl Fn(NodeId) -> Weight + '_ {
+        let mut from_v = [0; MAX_LANDMARKS];
+        for (d, t) in from_v.iter_mut().zip(&self.trees) {
+            *d = t.tree.dist(v);
+        }
+        let toward = &self.trees[self.home[v.index()] as usize].tree;
+        let v_home_dist = self.home_dist[v.index()];
+        move |u| {
+            if u == v {
+                return 0;
+            }
+            let out_of_v = from_v[self.home[u.index()] as usize];
+            (toward.dist(u) + v_home_dist).max(out_of_v + self.home_dist[u.index()])
+        }
+    }
+
     /// First hop from `u` on the oracle's routed path toward `v`: down to
     /// the child whose preorder interval holds `v` if `u` is an ancestor
     /// of `v` in the tree of `H(v)`, up to `u`'s parent otherwise.
@@ -300,6 +327,22 @@ mod tests {
                 assert!(est >= truth, "estimate must upper-bound the metric");
                 assert!(est <= truth + r2, "additive stretch bound 2R violated");
                 assert_eq!(est, oracle.distance(v, u), "symmetry");
+            }
+        }
+    }
+
+    /// From one landmark up to the cap, which `build_with` enforces.
+    #[test]
+    fn distances_to_matches_distance() {
+        let net = topology::random(80, 3, 5, 4);
+        for k in [1, 4, DEFAULT_LANDMARKS, MAX_LANDMARKS, MAX_LANDMARKS + 9] {
+            let oracle = LandmarkOracle::build_with(net.graph(), k);
+            assert!(oracle.landmarks() <= MAX_LANDMARKS);
+            for v in net.graph().nodes() {
+                let to_v = oracle.distances_to(v);
+                for u in net.graph().nodes() {
+                    assert_eq!(to_v(u), oracle.distance(u, v), "{u}->{v} k={k}");
+                }
             }
         }
     }

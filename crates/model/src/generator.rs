@@ -169,9 +169,10 @@ impl WorkloadSpec {
                 }
             }
             ObjectChoice::Neighborhood { radius } => {
+                let to_home = network.distances_to(home);
                 let local: Vec<ObjectId> = objects
                     .iter()
-                    .filter(|o| network.distance(o.origin, home) <= *radius)
+                    .filter(|o| to_home(o.origin) <= *radius)
                     .map(|o| o.id)
                     .collect();
                 if local.is_empty() {
