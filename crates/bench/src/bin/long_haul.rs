@@ -20,6 +20,10 @@
 //! Each (policy, source) cell drives `run_stream_observed` on a
 //! clique(8); verdicts check bounded memory (`arena_hwm <= peak_live`)
 //! and — unless `--expect-overload` — that no health watchdog fired.
+//! The health monitor reads the kernel's step-end view, so its
+//! starvation and arena-drift checks run on every step; the `steady_*`
+//! entries in `.live.json` / `.prom` are written by the harness from
+//! kernel state after each tick.
 //! Every cell writes `<policy>-<source>.flight.jsonl` (plus an
 //! `.onset.flight.jsonl` at the first health event) into `--out`, so a
 //! failing CI job uploads the black boxes as artifacts. Exits nonzero
@@ -124,7 +128,6 @@ fn main() {
                 expose_every: Some(expose_every),
                 dir: out.clone(),
                 label: format!("{policy_name}-{source_name}"),
-                arena_probe_every: 256,
             };
             let (s, obs) = run_stream_observed(
                 &net,

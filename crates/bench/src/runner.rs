@@ -13,11 +13,16 @@ use dtm_graph::Network;
 use dtm_model::{ClosedLoopSource, Instance, Time, TraceSource, WorkloadSource, WorkloadSpec};
 use dtm_offline::competitive_ratio;
 use dtm_sim::{
-    run_policy, validate_events, Engine, EngineConfig, Retention, RunResult, SchedulingPolicy,
-    ValidationConfig,
+    run_policy, validate_events, Engine, EngineConfig, Log2Histogram, Retention, RunResult,
+    SchedulingPolicy, StepEffects, ValidationConfig,
+};
+use dtm_telemetry::{
+    steady_names, Counter, FlightRecorderHandle, Gauge, HealthMonitor, HealthMonitorHandle,
+    Histogram, MetricsRegistry, ObservabilityStack, PeriodicExposer, TelemetrySink,
 };
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A workload to run.
 #[derive(Clone, Debug)]
@@ -206,9 +211,6 @@ pub struct ObserveSpec {
     /// cells (e.g. a rate sweep) must make this distinguish every cell —
     /// the flight/exposition writers overwrite by name.
     pub label: String,
-    /// Feed [`dtm_telemetry::HealthMonitor::probe_arena`] from
-    /// [`dtm_sim::StepKernel::vitals`] every this many steps (0 = never).
-    pub arena_probe_every: u64,
 }
 
 impl ObserveSpec {
@@ -226,7 +228,6 @@ impl ObserveSpec {
             expose_every: flags.expose_every,
             dir: crate::telemetry_flag().unwrap_or_else(|| PathBuf::from("observability")),
             label: slug(label),
-            arena_probe_every: 256,
         })
     }
 }
@@ -324,65 +325,111 @@ pub fn run_stream_observed<P: SchedulingPolicy, S: WorkloadSource>(
     (summary, obs.unwrap_or_default())
 }
 
-/// Observer handles riding one streaming run.
+/// Observers and writers riding one streaming run.
 struct ObserveAttach {
-    recorder: Option<dtm_telemetry::FlightRecorderHandle>,
-    monitor: Option<dtm_telemetry::HealthMonitorHandle>,
-    /// Sink + steady probe feeding the exposed registry (attached to the
-    /// engine, only read back through the exposer's snapshots).
-    sink: Option<std::sync::Arc<parking_lot::Mutex<dtm_telemetry::TelemetrySink>>>,
-    probe: Option<std::sync::Arc<parking_lot::Mutex<dtm_telemetry::SteadyStateProbe>>>,
-    exposer: Option<std::sync::Arc<parking_lot::Mutex<dtm_telemetry::PeriodicExposer>>>,
-    probe_every: u64,
+    recorder: Option<FlightRecorderHandle>,
+    monitor: Option<HealthMonitorHandle>,
+    exposure: Option<Exposure>,
     dir: PathBuf,
     label: String,
 }
 
+/// The exposed registry's writers: the periodic flusher, and the
+/// `steady_*` entries the drive loop writes from kernel state.
+struct Exposure {
+    exposer: PeriodicExposer,
+    backlog: Arc<Histogram>,
+    backlog_now: Arc<Gauge>,
+    backlog_peak: Arc<Gauge>,
+    sojourn: Arc<Histogram>,
+    commits: Arc<Counter>,
+    aborts: Arc<Counter>,
+}
+
+impl Exposure {
+    /// After each tick: the step-end backlog (its peak too, which
+    /// `StepKernel::peak_live`, sampled mid-tick, can exceed), and the
+    /// tick's aborts if it ran at or after `warmup`. The kernel aborts
+    /// only alongside a `MissedExecution` violation, so without
+    /// violations these are exactly the post-warmup transactions' aborts.
+    fn record_tick(&self, fx: &StepEffects, warmup: Time) {
+        let live = fx.live_after;
+        self.backlog.record(live as u64);
+        self.backlog_now.set(live as i64);
+        self.backlog_peak.record_max(live as i64);
+        if fx.t >= warmup {
+            self.aborts.add(fx.aborted.len() as u64);
+        }
+    }
+
+    /// Copy the kernel's post-warmup sojourn histogram and its count
+    /// (the post-warmup commits) into the registry, then write both files.
+    fn flush(&mut self, sojourn: &Log2Histogram) {
+        self.sojourn.store_log2(sojourn);
+        self.commits.add(sojourn.count() - self.commits.get());
+        self.exposer.flush_now();
+    }
+}
+
 impl ObserveAttach {
-    fn build(spec: &ObserveSpec, warmup: Time) -> std::io::Result<ObserveAttach> {
-        use std::sync::Arc;
+    /// The writers `spec` asks for, with its observers attached to
+    /// `engine`.
+    fn build<P: SchedulingPolicy>(
+        spec: &ObserveSpec,
+        mut engine: Engine<P>,
+    ) -> std::io::Result<(ObserveAttach, Engine<P>)> {
         std::fs::create_dir_all(&spec.dir)?;
         let recorder = spec.flight_k.map(dtm_telemetry::flight_recorder);
         let monitor = spec.health.clone().map(|cfg| {
-            let mut m = dtm_telemetry::HealthMonitor::new(cfg);
+            let mut m = HealthMonitor::new(cfg);
             if let Some(rec) = &recorder {
                 let onset = spec.dir.join(format!("{}.onset.flight.jsonl", spec.label));
                 m = m.with_auto_dump(Arc::clone(rec), onset);
             }
             Arc::new(parking_lot::Mutex::new(m))
         });
-        let mut sink = None;
-        let mut probe = None;
-        let exposer = spec.expose_every.map(|every| {
-            // The exposer only snapshots; a telemetry sink and a
-            // steady-state probe sharing its registry produce the
-            // numbers the snapshots carry.
-            let registry = Arc::new(dtm_telemetry::MetricsRegistry::new());
-            sink = Some(Arc::new(parking_lot::Mutex::new(
-                dtm_telemetry::TelemetrySink::new(Arc::clone(&registry)),
-            )));
-            probe = Some(Arc::new(parking_lot::Mutex::new(
-                dtm_telemetry::SteadyStateProbe::new(Arc::clone(&registry), warmup),
-            )));
-            let ex = dtm_telemetry::PeriodicExposer::new(registry, every)
-                .with_json(spec.dir.join(format!("{}.live.json", spec.label)))
-                .with_prom(spec.dir.join(format!("{}.prom", spec.label)));
-            Arc::new(parking_lot::Mutex::new(ex))
-        });
-        Ok(ObserveAttach {
+        match (&recorder, &monitor) {
+            // Both on: fuse them so the kernel probes one observer with
+            // lock-free answers instead of paying two mutex round-trips
+            // per per-tick question.
+            (Some(rec), Some(mon)) => {
+                engine =
+                    engine.with_observer(ObservabilityStack::new(Arc::clone(rec), Arc::clone(mon)));
+            }
+            (Some(rec), None) => engine = engine.with_observer(Arc::clone(rec)),
+            (None, Some(mon)) => engine = engine.with_observer(Arc::clone(mon)),
+            (None, None) => {}
+        }
+        let mut exposure = None;
+        if let Some(every) = spec.expose_every {
+            // The exposer only snapshots; a telemetry sink and the drive
+            // loop's steady-state entries produce the numbers it carries.
+            let registry = Arc::new(MetricsRegistry::new());
+            engine = engine.with_observer(TelemetrySink::new(Arc::clone(&registry)));
+            exposure = Some(Exposure {
+                backlog: registry.histogram(steady_names::BACKLOG),
+                backlog_now: registry.gauge(steady_names::BACKLOG_NOW),
+                backlog_peak: registry.gauge(steady_names::BACKLOG_PEAK),
+                sojourn: registry.histogram(steady_names::SOJOURN),
+                commits: registry.counter(steady_names::COMMITS),
+                aborts: registry.counter(steady_names::ABORTS),
+                exposer: PeriodicExposer::new(registry, every)
+                    .with_json(spec.dir.join(format!("{}.live.json", spec.label)))
+                    .with_prom(spec.dir.join(format!("{}.prom", spec.label))),
+            });
+        }
+        let attach = ObserveAttach {
             recorder,
             monitor,
-            sink,
-            probe,
-            exposer,
-            probe_every: spec.arena_probe_every,
+            exposure,
             dir: spec.dir.clone(),
             label: spec.label.clone(),
-        })
+        };
+        Ok((attach, engine))
     }
 
-    /// Collect results and write the final flight dump.
-    fn finish(self) -> StreamObservation {
+    /// Collect results and write the final flight dump and exposition.
+    fn finish(self, sojourn: &Log2Histogram) -> StreamObservation {
         let mut out = StreamObservation::default();
         if let Some(monitor) = &self.monitor {
             let m = monitor.lock();
@@ -408,11 +455,10 @@ impl ObserveAttach {
                 }
             }
         }
-        if let Some(exposer) = &self.exposer {
-            let mut ex = exposer.lock();
-            ex.flush_now();
-            out.expose_flushes = ex.flushes();
-            if let Some(e) = ex.last_error() {
+        if let Some(mut exposure) = self.exposure {
+            exposure.flush(sojourn);
+            out.expose_flushes = exposure.exposer.flushes();
+            if let Some(e) = exposure.exposer.last_error() {
                 out.io_error.get_or_insert(e.to_string());
             }
         }
@@ -431,46 +477,25 @@ fn run_stream_inner<P: SchedulingPolicy, S: WorkloadSource>(
     warmup: Time,
     spec: Option<&ObserveSpec>,
 ) -> (StreamSummary, Option<StreamObservation>) {
-    use std::sync::Arc;
     assert!(warmup < steps, "warmup must leave a measurement window");
     let policy_name = policy.name();
     let mut config = config;
     config.retention = Retention::Streaming { warmup };
     config.record_events = false;
     config.max_steps = config.max_steps.max(steps);
-    let attach = spec.map(|s| ObserveAttach::build(s, warmup).expect("observability dir writable"));
     let mut engine = Engine::new(network.clone(), policy, config);
-    if let Some(a) = &attach {
-        match (&a.recorder, &a.monitor) {
-            // Both on: fuse them so the kernel probes one observer with
-            // lock-free answers instead of paying two mutex round-trips
-            // per per-tick question.
-            (Some(rec), Some(mon)) => {
-                engine = engine.with_observer(dtm_telemetry::ObservabilityStack::new(
-                    Arc::clone(rec),
-                    Arc::clone(mon),
-                ));
-            }
-            (Some(rec), None) => engine = engine.with_observer(Arc::clone(rec)),
-            (None, Some(mon)) => engine = engine.with_observer(Arc::clone(mon)),
-            (None, None) => {}
-        }
-        if let Some(sink) = &a.sink {
-            engine = engine.with_observer(Arc::clone(sink));
-        }
-        if let Some(probe) = &a.probe {
-            engine = engine.with_observer(Arc::clone(probe));
-        }
-        if let Some(ex) = &a.exposer {
-            engine = engine.with_observer(Arc::clone(ex));
-        }
+    let mut attach = None;
+    if let Some(spec) = spec {
+        let built = ObserveAttach::build(spec, engine).expect("observability dir writable");
+        attach = Some(built.0);
+        engine = built.1;
     }
     let mut kernel = engine.into_kernel(source);
     let mid = warmup + (steps - warmup) / 2;
     let (mut sum_early, mut n_early) = (0u128, 0u64);
     let (mut sum_late, mut n_late) = (0u128, 0u64);
     let mut aborted = 0u64;
-    let probe_every = attach.as_ref().map_or(0, |a| a.probe_every);
+    let mut exposure = attach.as_mut().and_then(|a| a.exposure.as_mut());
     while kernel.now() < steps {
         let Some(fx) = kernel.tick() else { break };
         aborted += fx.aborted.len() as u64;
@@ -483,12 +508,10 @@ fn run_stream_inner<P: SchedulingPolicy, S: WorkloadSource>(
                 n_late += 1;
             }
         }
-        if probe_every != 0 && kernel.now().is_multiple_of(probe_every) {
-            if let Some(monitor) = attach.as_ref().and_then(|a| a.monitor.as_ref()) {
-                let v = kernel.vitals();
-                monitor
-                    .lock()
-                    .probe_arena(v.now, v.arena_high_water, v.peak_live);
+        if let Some(ex) = exposure.as_deref_mut() {
+            ex.record_tick(fx, warmup);
+            if ex.exposer.due(fx.t) {
+                ex.flush(kernel.sojourn_latency());
             }
         }
     }
@@ -515,7 +538,7 @@ fn run_stream_inner<P: SchedulingPolicy, S: WorkloadSource>(
         max_latency: soj.max(),
         mean_latency: soj.mean(),
     };
-    (summary, attach.map(ObserveAttach::finish))
+    (summary, attach.map(|a| a.finish(soj)))
 }
 
 thread_local! {
@@ -667,7 +690,59 @@ mod tests {
     use super::*;
     use dtm_core::GreedyPolicy;
     use dtm_graph::topology;
-    use dtm_model::{WorkloadGenerator, WorkloadSpec};
+    use dtm_model::{ArrivalProcess, OpenLoopSource, WorkloadGenerator, WorkloadSpec};
+
+    /// The `steady_*` entries the drive loop writes agree with the
+    /// kernel: the backlog gauges and histogram with the step-end live
+    /// set, the sojourn histogram and commit counter with the kernel's
+    /// sojourn latency (warmup 0, so every commit counts).
+    #[test]
+    fn steady_entries_track_kernel_state() {
+        let net = topology::clique(8);
+        let spec = WorkloadSpec::batch_uniform(8, 2);
+        let source =
+            OpenLoopSource::new(net.clone(), spec, ArrivalProcess::Poisson { rate: 0.6 }, 17);
+        let dir = std::env::temp_dir().join(format!("dtm-steady-{}", std::process::id()));
+        let observe = ObserveSpec {
+            health: None,
+            flight_k: None,
+            expose_every: Some(500),
+            dir: dir.clone(),
+            label: "steady".to_string(),
+        };
+        let config = EngineConfig::default();
+        let (s, obs) = run_stream_observed(
+            &net,
+            source,
+            GreedyPolicy::new(),
+            config,
+            10_000,
+            0,
+            &observe,
+        );
+        assert_eq!(obs.io_error, None);
+        assert_eq!(obs.expose_flushes, 21, "20 on cadence, one final");
+        let json = std::fs::read_to_string(dir.join("steady.live.json")).expect("exposed");
+        let snap: dtm_telemetry::MetricsSnapshot = serde_json::from_str(&json).expect("schema");
+        assert_eq!(
+            snap.gauges[steady_names::BACKLOG_NOW] as usize,
+            s.backlog_end
+        );
+        let peak = snap.gauges[steady_names::BACKLOG_PEAK] as usize;
+        assert!(
+            peak > 0 && peak <= s.backlog_peak,
+            "{peak} vs {}",
+            s.backlog_peak
+        );
+        assert_eq!(snap.histograms[steady_names::BACKLOG].count, s.steps);
+        assert_eq!(snap.counters[steady_names::COMMITS], s.committed);
+        assert_eq!(snap.counters[steady_names::ABORTS], s.aborted);
+        let sojourn = &snap.histograms[steady_names::SOJOURN];
+        assert_eq!(sojourn.count, s.committed);
+        assert_eq!(sojourn.max, s.max_latency);
+        assert!((sojourn.mean() - s.mean_latency).abs() < 1e-9);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn summarizes_clean_run() {

@@ -644,7 +644,7 @@ mod creation_tests {
 #[cfg(test)]
 mod observer_tests {
     use super::*;
-    use crate::observer::{Phase, PhaseProfile};
+    use crate::observer::{Phase, Tally};
     use dtm_graph::{topology, NodeId};
     use dtm_model::{Instance, ObjectId, ObjectInfo, Schedule, TraceSource, Transaction, TxnId};
     use parking_lot::Mutex;
@@ -667,13 +667,13 @@ mod observer_tests {
             ],
         );
         let sched: Schedule = [(TxnId(0), 2), (TxnId(1), 4)].into_iter().collect();
-        let profile = Arc::new(Mutex::new(PhaseProfile::default()));
+        let tally = Arc::new(Mutex::new(Tally::default()));
         let observed = Engine::new(
             net.clone(),
             crate::policy::FixedSchedulePolicy::new(sched.clone()),
             EngineConfig::default(),
         )
-        .with_observer(Arc::clone(&profile))
+        .with_observer(Arc::clone(&tally))
         .run(TraceSource::new(inst.clone()));
         let plain = run_policy(
             &net,
@@ -686,22 +686,17 @@ mod observer_tests {
         assert_eq!(observed.commits, plain.commits);
         assert_eq!(observed.events, plain.events);
 
-        let p = profile.lock();
+        let p = tally.lock();
+        let items = |ph: Phase| p.items[ph.index()];
         assert_eq!(p.steps, observed.metrics.steps);
-        assert_eq!(p.phase(Phase::Generate).items, observed.txns.len() as u64);
-        assert_eq!(
-            p.phase(Phase::Execute).items,
-            observed.metrics.committed as u64
-        );
-        assert_eq!(p.phase(Phase::Forward).items, observed.metrics.hops);
-        assert_eq!(
-            p.phase(Phase::Schedule).items,
-            observed.schedule.len() as u64
-        );
+        assert_eq!(items(Phase::Generate), observed.txns.len() as u64);
+        assert_eq!(items(Phase::Execute), observed.metrics.committed as u64);
+        assert_eq!(items(Phase::Forward), observed.metrics.hops);
+        assert_eq!(items(Phase::Schedule), observed.schedule.len() as u64);
         assert_eq!(p.peak_live, observed.metrics.peak_live);
         // Every phase ran once per step.
         for ph in Phase::ALL {
-            assert_eq!(p.phase(ph).calls, p.steps, "{} calls", ph.name());
+            assert_eq!(p.calls[ph.index()], p.steps, "{} calls", ph.name());
         }
     }
 }

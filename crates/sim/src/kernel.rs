@@ -28,7 +28,9 @@
 //! window ([`SystemView::step_effects`]) takes the tick's created,
 //! delivered and arrived items; at step end the window is reset to its
 //! scheduled, committed, aborted and departed items, the `RunLog` (kept
-//! iff [`Retention::Full`]) folds the tick, and the observers see it.
+//! iff [`Retention::Full`]) folds the tick, and the observers see it
+//! together with a read-only [`SystemView`] of the state after the tick
+//! ([`StepObserver::on_step_end_in`]), so none keeps its own copy.
 //!
 //! **Resumability contract.** A checkpoint taken between two ticks
 //! captures *all* state the remaining steps depend on: the live set and
@@ -123,7 +125,6 @@ pub struct StepKernel<P, S> {
     violations: Vec<Violation>,
     comm_cost: u64,
     hops: u64,
-    peak_live: usize,
 
     /// Commits folded into scalars so streaming retention needs no maps.
     commit_count: u64,
@@ -169,24 +170,6 @@ pub enum RunStatus {
     Drained,
     /// The inclusive step limit was exceeded with the run still open.
     StepLimit,
-}
-
-/// Kernel gauges bundled for external health probes; see
-/// [`StepKernel::vitals`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KernelVitals {
-    /// The step the next tick will execute.
-    pub now: Time,
-    /// Live (generated, uncommitted) transactions.
-    pub live: usize,
-    /// Commits so far.
-    pub commit_count: u64,
-    /// Time of the latest commit (0 before the first).
-    pub last_commit_at: Time,
-    /// Arena slot high-water mark ([`StepKernel::arena_high_water`]).
-    pub arena_high_water: usize,
-    /// Peak simultaneously-live transactions ([`StepKernel::peak_live`]).
-    pub peak_live: usize,
 }
 
 /// Sizes of the kernel's internal bookkeeping structures
@@ -280,7 +263,6 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
             violations: Vec::new(),
             comm_cost: 0,
             hops: 0,
-            peak_live: 0,
             commit_count: 0,
             last_commit: 0,
             sojourn: Log2Histogram::new(),
@@ -387,9 +369,10 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         self.state.txns().slot_high_water()
     }
 
-    /// Peak number of simultaneously live transactions so far.
+    /// Peak number of simultaneously live transactions so far (the
+    /// arena's own record: transactions join the live set only there).
     pub fn peak_live(&self) -> usize {
-        self.peak_live
+        self.state.txns().peak_live()
     }
 
     /// Sizes of the kernel's internal bookkeeping maps, for boundedness
@@ -406,21 +389,6 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         }
     }
 
-    /// One-call bundle of the kernel gauges an external health probe
-    /// wants per sample (observers cannot see the kernel, so harnesses
-    /// read this between ticks and forward it — e.g. to
-    /// `HealthMonitor::probe_arena` in `dtm-telemetry`).
-    pub fn vitals(&self) -> KernelVitals {
-        KernelVitals {
-            now: self.now,
-            live: self.state.txns().len(),
-            commit_count: self.commit_count,
-            last_commit_at: self.last_commit,
-            arena_high_water: self.arena_high_water(),
-            peak_live: self.peak_live,
-        }
-    }
-
     /// Advance exactly one time step through all phases, returning its
     /// effects — or `None` if the run is already [`StepKernel::done`].
     pub fn tick(&mut self) -> Option<&StepEffects> {
@@ -434,7 +402,7 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
         // declines (or none is attached), no phase pays for Instant::now.
         let timed = !self.observers.is_empty() && self.observers.iter().any(|o| o.wants_timing(t));
         // Phase callbacks likewise: ask each observer once per tick, not
-        // five times, so effects-only observers (health monitors, ring
+        // five times, so step-end-only observers (health monitors, ring
         // recorders on unsampled steps) cost nothing during phases.
         self.phase_mask = 0;
         for (i, obs) in self.observers.iter().enumerate().take(64) {
@@ -480,8 +448,11 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
             log.fold(&self.effects, &self.state, &mut self.retired);
         }
         self.retired.clear();
-        for obs in &mut self.observers {
-            obs.on_step_end(&self.effects);
+        if !self.observers.is_empty() {
+            let view = SystemView::from_state(t, &self.network, &self.state);
+            for obs in &mut self.observers {
+                obs.on_step_end_in(&view, &self.effects);
+            }
         }
         self.now += 1;
         Some(&self.effects)
@@ -544,7 +515,6 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 violations: self.violations.clone(),
                 comm_cost: self.comm_cost,
                 hops: self.hops,
-                peak_live: self.peak_live,
                 commit_count: self.commit_count,
                 last_commit: self.last_commit,
                 sojourn: self.sojourn.clone(),
@@ -584,7 +554,7 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 comm_cost: self.comm_cost,
                 hops: self.hops,
                 latency: self.sojourn.summary(),
-                peak_live: self.peak_live,
+                peak_live: self.peak_live(),
                 steps: self.now,
             },
             violations: self.violations,
@@ -695,7 +665,6 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
             });
         }
         self.arrivals_buf = batch;
-        self.peak_live = self.peak_live.max(self.state.txns().len());
         self.effects.arrived.len()
     }
 

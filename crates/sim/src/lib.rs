@@ -55,12 +55,12 @@ pub use effects::{Delivery, Departure, StepEffects};
 pub use engine::{run_policy, Engine, EngineConfig, Retention};
 pub use events::Event;
 pub use gantt::{render_timeline, TimelineOptions};
-pub use kernel::{KernelMapStats, KernelVitals, RunCheckpoint, RunStatus, StepKernel};
+pub use kernel::{KernelMapStats, RunCheckpoint, RunStatus, StepKernel};
 pub use metrics::{
     edge_congestion, peak_congestion, percentile, LatencySummary, Log2Histogram, Metrics,
     RunResult, Violation,
 };
-pub use observer::{Phase, PhaseProfile, PhaseStats, StepObserver};
+pub use observer::{Phase, StepObserver};
 pub use policy::{FixedSchedulePolicy, SchedulingPolicy};
 pub use state::{LiveTxn, ObjectPlace, ObjectState, SystemView};
 pub use validate::{validate_capacity, validate_events, ValidationConfig, ValidationError};

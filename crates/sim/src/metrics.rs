@@ -180,6 +180,17 @@ impl Log2Histogram {
         }
     }
 
+    /// Sum of all samples.
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
+    /// Samples per bucket: entry 0 counts the value 0, entry `i >= 1`
+    /// counts `[2^(i-1), 2^i - 1]`.
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
+    }
+
     /// Largest sample (0 when empty).
     pub fn max(&self) -> Time {
         self.max

@@ -6,10 +6,12 @@
 //! [`crate::StepKernel::with_observer`]) is called once per phase per
 //! step with the number of items the phase touched and its wall-clock
 //! duration, and once per step end with that tick's full
-//! [`StepEffects`]. Observation never changes engine behavior — runs
-//! with and without an observer produce identical results.
+//! [`StepEffects`] and a read-only [`SystemView`] of the kernel.
+//! Observation never changes engine behavior — runs with and without an
+//! observer produce identical results.
 
 use crate::effects::StepEffects;
+use crate::state::SystemView;
 use dtm_model::Time;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -68,14 +70,31 @@ impl Phase {
 pub trait StepObserver {
     /// Called after each phase with the number of items it processed
     /// (arrived objects, generated transactions, scheduled entries,
-    /// commits, departures) and its wall-clock duration.
-    fn on_phase(&mut self, t: Time, phase: Phase, items: usize, elapsed: Duration);
+    /// commits, departures) and its wall-clock duration. The default
+    /// ignores it, for observers that decline every phase
+    /// ([`StepObserver::wants_phases`]).
+    fn on_phase(&mut self, t: Time, phase: Phase, items: usize, elapsed: Duration) {
+        let _ = (t, phase, items, elapsed);
+    }
 
     /// Called at the end of each step with everything the tick changed
     /// (step `effects.t`, live-set size `effects.live_after`, plus the
     /// full per-phase item lists).
     fn on_step_end(&mut self, effects: &StepEffects) {
         let _ = effects;
+    }
+
+    /// The kernel's step-end call: `effects` plus a read-only `view` of
+    /// the kernel after the tick (the live set `T_t` with each
+    /// `generated_at`, the objects, the transaction arena), so an
+    /// observer asking "who is still waiting, and since when?" keeps no
+    /// copy of the live set. The default forwards to
+    /// [`StepObserver::on_step_end`]. A wrapper observer must forward
+    /// this method too: one that forwards only `on_step_end` hides the
+    /// view from the observer it wraps.
+    fn on_step_end_in(&mut self, view: &SystemView<'_>, effects: &StepEffects) {
+        let _ = view;
+        self.on_step_end(effects);
     }
 
     /// Whether this observer wants wall-clock phase timing at step `t`.
@@ -94,8 +113,8 @@ pub trait StepObserver {
     /// Whether this observer wants [`StepObserver::on_phase`] callbacks
     /// at step `t`.
     ///
-    /// Observers that work purely from the end-of-step effects (health
-    /// watchdogs, ring recorders on unsampled steps) return `false` to
+    /// Observers that work purely from the step end (health watchdogs,
+    /// ring recorders on unsampled steps) return `false` to
     /// skip five no-op calls per step — for shared `Arc<Mutex<_>>`
     /// handles that is five lock round-trips. The kernel asks once per
     /// tick; a declined step also forfeits that step's timing
@@ -104,70 +123,6 @@ pub trait StepObserver {
     fn wants_phases(&self, t: Time) -> bool {
         let _ = t;
         true
-    }
-}
-
-/// Accumulated statistics for one phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseStats {
-    /// Number of times the phase ran.
-    pub calls: u64,
-    /// Total items processed across all calls.
-    pub items: u64,
-    /// Total wall-clock nanoseconds.
-    pub nanos: u128,
-}
-
-/// A ready-made [`StepObserver`] accumulating per-phase counters and
-/// timings plus peak live-set size. Attach a shared handle with
-/// `Arc<Mutex<PhaseProfile>>` (the same pattern as the policy stats
-/// handles) and read it after the run.
-#[derive(Clone, Debug, Default)]
-pub struct PhaseProfile {
-    /// Per-phase statistics, indexed by [`Phase::index`].
-    pub phases: [PhaseStats; 5],
-    /// Number of completed steps.
-    pub steps: u64,
-    /// Largest live-set size seen at any step end.
-    pub peak_live: usize,
-}
-
-impl PhaseProfile {
-    /// Statistics for `phase`.
-    pub fn phase(&self, phase: Phase) -> &PhaseStats {
-        &self.phases[phase.index()]
-    }
-
-    /// One line per phase: `name calls=<n> items=<n> nanos=<n>`.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for p in Phase::ALL {
-            let s = self.phase(p);
-            let _ = writeln!(
-                out,
-                "{} calls={} items={} nanos={}",
-                p.name(),
-                s.calls,
-                s.items,
-                s.nanos
-            );
-        }
-        out
-    }
-}
-
-impl StepObserver for PhaseProfile {
-    fn on_phase(&mut self, _t: Time, phase: Phase, items: usize, elapsed: Duration) {
-        let s = &mut self.phases[phase.index()];
-        s.calls += 1;
-        s.items += items as u64;
-        s.nanos += elapsed.as_nanos();
-    }
-
-    fn on_step_end(&mut self, effects: &StepEffects) {
-        self.steps += 1;
-        self.peak_live = self.peak_live.max(effects.live_after);
     }
 }
 
@@ -182,6 +137,10 @@ impl<T: StepObserver> StepObserver for Arc<Mutex<T>> {
         self.lock().on_step_end(effects);
     }
 
+    fn on_step_end_in(&mut self, view: &SystemView<'_>, effects: &StepEffects) {
+        self.lock().on_step_end_in(view, effects);
+    }
+
     fn wants_timing(&self, t: Time) -> bool {
         self.lock().wants_timing(t)
     }
@@ -191,43 +150,62 @@ impl<T: StepObserver> StepObserver for Arc<Mutex<T>> {
     }
 }
 
+/// Test observer tallying every callback it receives: per-phase calls
+/// and items, and the step ends seen through the view hook.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Phase callbacks, indexed by [`Phase::index`].
+    pub calls: [u64; 5],
+    /// Items reported per phase, indexed by [`Phase::index`].
+    pub items: [u64; 5],
+    /// [`StepObserver::on_step_end_in`] calls.
+    pub steps: u64,
+    /// Largest live count a step-end view showed.
+    pub peak_live: usize,
+}
+
+#[cfg(test)]
+impl StepObserver for Tally {
+    fn on_phase(&mut self, _t: Time, phase: Phase, items: usize, _elapsed: Duration) {
+        self.calls[phase.index()] += 1;
+        self.items[phase.index()] += items as u64;
+    }
+
+    fn on_step_end_in(&mut self, view: &SystemView<'_>, _effects: &StepEffects) {
+        self.steps += 1;
+        self.peak_live = self.peak_live.max(view.live_count());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::RuntimeState;
+    use crate::state::LiveTxn;
+    use dtm_graph::{topology, NodeId};
+    use dtm_model::{ObjectId, Transaction, TxnId};
 
-    fn fx(t: Time, live_after: usize) -> StepEffects {
-        StepEffects {
-            t,
-            live_after,
-            ..StepEffects::default()
-        }
-    }
-
-    #[test]
-    fn profile_accumulates() {
-        let mut p = PhaseProfile::default();
-        p.on_phase(0, Phase::Receive, 2, Duration::from_nanos(10));
-        p.on_phase(0, Phase::Receive, 3, Duration::from_nanos(5));
-        p.on_phase(0, Phase::Execute, 1, Duration::from_nanos(7));
-        p.on_step_end(&fx(0, 4));
-        p.on_step_end(&fx(1, 2));
-        assert_eq!(p.phase(Phase::Receive).calls, 2);
-        assert_eq!(p.phase(Phase::Receive).items, 5);
-        assert_eq!(p.phase(Phase::Receive).nanos, 15);
-        assert_eq!(p.phase(Phase::Execute).items, 1);
-        assert_eq!(p.steps, 2);
-        assert_eq!(p.peak_live, 4);
-        assert!(p.render().contains("receive calls=2 items=5 nanos=15"));
-    }
-
+    /// The shared handle forwards phases and the view hook; dropping the
+    /// view forward would reach only the inner `on_step_end`, which
+    /// [`Tally`] does not count.
     #[test]
     fn shared_handle_forwards() {
-        let shared = Arc::new(Mutex::new(PhaseProfile::default()));
+        let net = topology::line(2);
+        let mut state = RuntimeState::new();
+        state.insert_txn(LiveTxn {
+            txn: Transaction::new(TxnId(0), NodeId(0), [ObjectId(0)], 3),
+            scheduled: None,
+        });
+        let view = SystemView::from_state(3, &net, &state);
+        let shared = Arc::new(Mutex::new(Tally::default()));
         let mut handle = Arc::clone(&shared);
         handle.on_phase(3, Phase::Forward, 9, Duration::from_nanos(1));
-        handle.on_step_end(&fx(3, 1));
-        assert_eq!(shared.lock().phase(Phase::Forward).items, 9);
-        assert_eq!(shared.lock().steps, 1);
+        handle.on_step_end_in(&view, &StepEffects::default());
+        let tally = shared.lock();
+        assert_eq!(tally.items[Phase::Forward.index()], 9);
+        assert_eq!(tally.steps, 1);
+        assert_eq!(tally.peak_live, 1);
     }
 
     #[test]

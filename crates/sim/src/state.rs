@@ -1,7 +1,7 @@
 //! Runtime state of objects and live transactions, and the read-only
 //! [`SystemView`] handed to scheduling policies each step.
 
-use crate::arena::{ObjectIter, RuntimeState, TxnIter};
+use crate::arena::{ObjectIter, RuntimeState, TxnArena, TxnIter};
 use crate::effects::StepEffects;
 use dtm_graph::{Network, NodeId, Weight};
 use dtm_model::{ObjectId, ObjectInfo, Time, Transaction, TxnId};
@@ -102,6 +102,13 @@ impl<'a> SystemView<'a> {
     /// Number of live transactions.
     pub fn live_count(&self) -> usize {
         self.state.txns().len()
+    }
+
+    /// The transaction arena behind [`SystemView::live_txns`], for its
+    /// memory gauges ([`TxnArena::slot_high_water`],
+    /// [`TxnArena::peak_live`]).
+    pub fn txn_arena(&self) -> &'a TxnArena {
+        self.state.txns()
     }
 
     /// Look up a live transaction.

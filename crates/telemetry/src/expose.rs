@@ -1,28 +1,29 @@
 //! Live exposition: periodic [`MetricsSnapshot`] flushing and a
 //! Prometheus text-format writer.
 //!
-//! The `--telemetry` sidecars from PR 2 write one snapshot at process
-//! exit; a 10⁶-step open-system run wants its metrics *while it runs*.
-//! [`PeriodicExposer`] is a [`StepObserver`] that re-snapshots a shared
-//! [`MetricsRegistry`] every `every` steps and atomically rewrites one
-//! or two files: a JSON snapshot (the existing sidecar schema) and/or a
-//! Prometheus text-format rendering ([`prometheus_text`]) that a
+//! The `--telemetry` sidecars write one snapshot at process exit; a
+//! 10⁶-step open-system run wants its metrics *while it runs*.
+//! [`PeriodicExposer`] re-snapshots a shared [`MetricsRegistry`] every
+//! `every` steps and atomically rewrites one or two files: a JSON
+//! snapshot (the existing sidecar schema) and/or a Prometheus
+//! text-format rendering ([`prometheus_text`]) that a
 //! node-exporter-style scrape (or a human with `watch cat`) can follow.
+//! It is not an observer: the harness driving the kernel writes the
+//! tick's values into the registry first and then asks
+//! [`PeriodicExposer::due`] whether to flush, so every flush holds the
+//! values as of the end of its step.
 //!
 //! Flushing overwrites in place via a write-then-rename so a reader
 //! never sees a torn file; I/O errors are retained
 //! ([`PeriodicExposer::last_error`]) instead of panicking inside the
-//! engine loop. The exposer does no timing and touches no engine state,
-//! so attaching it cannot perturb a run (the telemetry integration
-//! suite pins this).
+//! run loop. The exposer does no timing and touches no engine state,
+//! so it cannot perturb a run.
 
 use crate::registry::{MetricsRegistry, MetricsSnapshot};
 use dtm_model::Time;
-use dtm_sim::{Phase, StepEffects, StepObserver};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Sanitize a metric name for the Prometheus exposition format:
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`, everything else becomes `_`.
@@ -81,8 +82,8 @@ fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// A [`StepObserver`] that periodically flushes a registry snapshot to
-/// disk. See the module docs.
+/// Periodically flushes a registry snapshot to disk. See the module
+/// docs.
 pub struct PeriodicExposer {
     registry: Arc<MetricsRegistry>,
     every: u64,
@@ -129,6 +130,13 @@ impl PeriodicExposer {
         self.last_error.as_deref()
     }
 
+    /// Whether step `t` closes a cadence window: the last step of each
+    /// window, so a run of exactly `every` steps flushes once, at its
+    /// end. The harness calls [`flush_now`](Self::flush_now) when it is.
+    pub fn due(&self, t: Time) -> bool {
+        (t + 1).is_multiple_of(self.every)
+    }
+
     /// Snapshot and write now, regardless of cadence. Harnesses call
     /// this once after the run so the files hold the final state.
     pub fn flush_now(&mut self) {
@@ -148,26 +156,6 @@ impl PeriodicExposer {
         }
         if ok {
             self.flushes += 1;
-        }
-    }
-}
-
-impl StepObserver for PeriodicExposer {
-    fn on_phase(&mut self, _t: Time, _phase: Phase, _items: usize, _elapsed: Duration) {}
-
-    fn wants_timing(&self, _t: Time) -> bool {
-        false
-    }
-
-    fn wants_phases(&self, _t: Time) -> bool {
-        false
-    }
-
-    fn on_step_end(&mut self, effects: &StepEffects) {
-        // Flush on the last step of each cadence window so a run of
-        // exactly `every` steps flushes once at its end.
-        if (effects.t + 1).is_multiple_of(self.every) {
-            self.flush_now();
         }
     }
 }
@@ -221,11 +209,9 @@ mod tests {
             .with_prom(prom.clone());
         for t in 0..25u64 {
             steps.inc();
-            let fx = StepEffects {
-                t,
-                ..StepEffects::default()
-            };
-            ex.on_step_end(&fx);
+            if ex.due(t) {
+                ex.flush_now();
+            }
         }
         // Cadence 10 over t = 0..25 flushes at t = 9 and t = 19.
         assert_eq!(ex.flushes(), 2);

@@ -19,7 +19,7 @@
 
 use crate::decision::DecisionTraceHandle;
 use dtm_model::Time;
-use dtm_sim::{Phase, StepEffects, StepObserver};
+use dtm_sim::{Phase, StepEffects, StepObserver, SystemView};
 use parking_lot::Mutex;
 use serde::{Serialize, Value};
 use std::sync::Arc;
@@ -337,6 +337,11 @@ impl StepObserver for ObservabilityStack {
         self.recorder.lock().on_step_end(effects);
         self.monitor.lock().on_step_end(effects);
     }
+
+    fn on_step_end_in(&mut self, view: &SystemView<'_>, effects: &StepEffects) {
+        self.recorder.lock().on_step_end(effects);
+        self.monitor.lock().on_step_end_in(view, effects);
+    }
 }
 
 /// What a validated flight dump contains.
@@ -629,5 +634,34 @@ mod tests {
         assert_eq!(rec.ring.capacity(), cap_before);
         assert_eq!(rec.len(), 16);
         assert_eq!(rec.steps_seen(), 10_000);
+    }
+
+    /// The stack hands the step-end view through to the monitor: a
+    /// transaction past the starvation age is reported, which needs the
+    /// view (through `on_step_end` alone the monitor cannot see it).
+    #[test]
+    fn stack_forwards_the_view_to_the_monitor() {
+        use dtm_graph::{topology, NodeId};
+        use dtm_model::{ObjectId, Transaction};
+        use dtm_sim::{LiveTxn, RuntimeState};
+        let net = topology::line(2);
+        let mut state = RuntimeState::new();
+        state.insert_txn(LiveTxn {
+            txn: Transaction::new(TxnId(3), NodeId(0), [ObjectId(0)], 0),
+            scheduled: None,
+        });
+        let recorder = flight_recorder(4);
+        let monitor = crate::health_monitor(crate::HealthConfig {
+            starvation_age: 5,
+            ..crate::HealthConfig::default()
+        });
+        let mut stack = ObservabilityStack::new(Arc::clone(&recorder), Arc::clone(&monitor));
+        let view = SystemView::from_state(9, &net, &state);
+        stack.on_step_end_in(&view, &fx(9, 0, 0, 1));
+        assert_eq!(recorder.lock().steps_seen(), 1);
+        let m = monitor.lock();
+        assert_eq!(m.events().len(), 1, "{:?}", m.events());
+        assert_eq!(m.events()[0].kind.tag(), "starvation");
+        assert_eq!(m.events()[0].oldest, vec![TxnId(3)]);
     }
 }

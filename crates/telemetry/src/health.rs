@@ -1,8 +1,8 @@
 //! Health watchdogs: typed alarms derived from the step stream.
 //!
 //! [`HealthMonitor`] is a [`StepObserver`] that evaluates four detectors
-//! as pure functions of the effects stream (plus one externally fed
-//! arena probe), emitting typed [`HealthEvent`]s:
+//! at each step end, emitting typed [`HealthEvent`]s. Two read only the
+//! tick's [`StepEffects`]:
 //!
 //! * **overload** — the backlog grows faster than a tolerance between
 //!   the two halves of a sliding window, the same half-window slope
@@ -11,35 +11,39 @@
 //!   per step with hysteresis so a sustained overload fires once, not
 //!   every step;
 //! * **commit stall** — no commit for `stall_window` steps while the
-//!   live set is nonempty;
+//!   live set is nonempty.
+//!
+//! Two read the kernel's [`SystemView`] through
+//! [`StepObserver::on_step_end_in`] — the live set `T_t` itself, with
+//! each transaction's `generated_at`, rather than a copy of it:
+//!
 //! * **starvation** — a live transaction's age exceeded
 //!   `starvation_age` steps (at most one event per step, each
-//!   transaction reported once);
+//!   transaction reported once, oldest first in `(generated_at, id)`
+//!   order);
 //! * **arena drift** — the transaction arena's slot high-water mark
-//!   exceeded the peak live-set size, which the kernel's free-list
-//!   recycling forbids ([`HealthMonitor::probe_arena`], fed by the
-//!   harness from [`dtm_sim::StepKernel`] accessors — observers cannot
-//!   see the arena).
+//!   exceeded its peak live-set size, which the kernel's free-list
+//!   recycling forbids (checked every step).
 //!
 //! Every event carries the step index, the backlog, and a bounded
-//! context sample (the oldest live transactions). The stored event list
-//! is capped ([`HealthConfig::max_events`], overflow counted), detector
-//! state is bounded by the backlog, and idle steps allocate nothing —
-//! the monitor can ride a 10⁶-step run. When a [`FlightRecorderHandle`]
-//! is attached, the monitor **auto-dumps** the recorder on its first
-//! event, appending the event as a `health_event` JSONL line — the black
-//! box is written at failure onset, not at process exit.
+//! context sample (the oldest live transactions, read from the view).
+//! The stored event list is capped ([`HealthConfig::max_events`],
+//! overflow counted), detector state is O(1) beyond the preallocated
+//! slope window, and idle steps allocate nothing — the monitor can ride
+//! a 10⁶-step run. When a [`FlightRecorderHandle`] is attached, the
+//! monitor **auto-dumps** the recorder on its first event, appending the
+//! event as a `health_event` JSONL line — the black box is written at
+//! failure onset, not at process exit.
 //!
 //! Determinism: all detectors are pure functions of the deterministic
-//! step stream, so the event sequence for a seeded run is byte-identical
-//! across runs and `--jobs` levels.
+//! step stream and kernel state, so the event sequence for a seeded run
+//! is byte-identical across runs and `--jobs` levels.
 
 use crate::flight::{push_line, FlightRecorderHandle};
 use dtm_model::{Time, TxnId};
-use dtm_sim::{StepEffects, StepObserver};
+use dtm_sim::{StepEffects, StepObserver, SystemView};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -109,9 +113,9 @@ pub enum HealthEventKind {
     /// The transaction arena's slot high-water mark exceeded the peak
     /// live-set size — the bounded-memory invariant broke.
     ArenaDrift {
-        /// Arena slot high-water mark reported by the probe.
+        /// The arena's slot high-water mark.
         slot_high_water: u64,
-        /// Peak live-set size reported by the probe.
+        /// The arena's peak live-set size.
         peak_live: u64,
     },
 }
@@ -136,7 +140,9 @@ pub struct HealthEvent {
     pub t: Time,
     /// Live-set size at that step.
     pub live: u64,
-    /// Up to [`CONTEXT_SAMPLE`] oldest live transactions, oldest first.
+    /// Up to [`CONTEXT_SAMPLE`] oldest live transactions, oldest first
+    /// by `(generated_at, id)`; empty when the event fired without a
+    /// view (through [`StepObserver::on_step_end`] alone).
     pub oldest: Vec<TxnId>,
     /// What fired.
     pub kind: HealthEventKind,
@@ -178,19 +184,13 @@ pub struct HealthMonitor {
     overload_armed: bool,
     /// Last step that committed or had an empty live set.
     last_activity: Time,
-    /// Live transactions sorted by id. Transaction ids are monotone, so
-    /// in practice an arrival is a push at the end and id order equals
-    /// age order; liveness is a binary search.
-    live: Vec<(TxnId, Time)>,
-    /// Arrival-ordered transactions for context samples. Retired entries
-    /// are tombstoned lazily (liveness = membership in `live`) and
-    /// swept from the front each step, so the queue tracks the backlog
-    /// plus at most one oldest-transaction sojourn of retirees — never
-    /// the total arrival count.
-    age_queue: VecDeque<(Time, TxnId)>,
-    /// Arrival-ordered transactions not yet reported as starved; lazily
-    /// tombstoned like `age_queue`.
-    starve_queue: VecDeque<(Time, TxnId)>,
+    /// `(generated_at, id)` of the last transaction reported as starved;
+    /// the next report is the oldest live transaction after it.
+    starve_cursor: Option<(Time, TxnId)>,
+    /// No starvation report is possible before this step, so the scan
+    /// for the oldest unreported transaction is skipped until then (see
+    /// [`HealthMonitor::check_starvation`]).
+    starve_next_check: Time,
     events: Vec<HealthEvent>,
     suppressed: u64,
     auto_dump: Option<(FlightRecorderHandle, PathBuf)>,
@@ -200,7 +200,7 @@ pub struct HealthMonitor {
 
 impl HealthMonitor {
     /// Monitor with the given thresholds. All detector state is
-    /// preallocated or bounded by the backlog.
+    /// preallocated or O(1).
     pub fn new(cfg: HealthConfig) -> Self {
         let mut cfg = cfg;
         cfg.slope_half_window = cfg.slope_half_window.max(1);
@@ -219,9 +219,8 @@ impl HealthMonitor {
             fire_thresh,
             overload_armed: true,
             last_activity: 0,
-            live: Vec::new(),
-            age_queue: VecDeque::new(),
-            starve_queue: VecDeque::new(),
+            starve_cursor: None,
+            starve_next_check: 0,
             events: Vec::with_capacity(max_events),
             suppressed: 0,
             auto_dump: None,
@@ -270,48 +269,109 @@ impl HealthMonitor {
         out
     }
 
-    /// Feed the arena-invariant probe. Observers cannot see the kernel,
-    /// so the driving harness reads
-    /// [`dtm_sim::StepKernel::arena_high_water`] /
-    /// [`dtm_sim::StepKernel::peak_live`] (or
-    /// [`dtm_sim::StepKernel::vitals`]) and forwards them here at
-    /// whatever cadence it likes; the invariant `slot_high_water <=
-    /// peak_live` must hold at every step, so any cadence catches a
-    /// regression. Fires at most once.
-    pub fn probe_arena(&mut self, t: Time, slot_high_water: usize, peak_live: usize) {
+    /// Arena drift: the slot high-water mark may never exceed the peak
+    /// live set. Fires at most once.
+    fn check_arena(
+        &mut self,
+        view: Option<&SystemView<'_>>,
+        t: Time,
+        live: u64,
+        slot_high_water: usize,
+        peak_live: usize,
+    ) {
         if !self.arena_alarmed && slot_high_water > peak_live {
             self.arena_alarmed = true;
-            let live = self.live.len() as u64;
-            self.emit(
-                t,
-                live,
-                HealthEventKind::ArenaDrift {
-                    slot_high_water: slot_high_water as u64,
-                    peak_live: peak_live as u64,
-                },
-            );
+            let kind = HealthEventKind::ArenaDrift {
+                slot_high_water: slot_high_water as u64,
+                peak_live: peak_live as u64,
+            };
+            self.emit(view, t, live, kind);
         }
     }
 
-    fn emit(&mut self, t: Time, live: u64, kind: HealthEventKind) {
-        let first = self.events.is_empty() && self.suppressed == 0;
-        let mut oldest: Vec<TxnId> = Vec::with_capacity(CONTEXT_SAMPLE);
-        for &(_, id) in self.age_queue.iter() {
-            if oldest.len() == CONTEXT_SAMPLE {
-                break;
-            }
-            if self.is_live(id) {
-                oldest.push(id);
-            }
+    /// Starvation: the oldest live transaction after the cursor, in
+    /// `(generated_at, id)` order, once its age passes the threshold.
+    ///
+    /// The oldest unreported `generated_at` never falls: arrivals are
+    /// the newest transactions, retirements only raise the minimum, and
+    /// a report moves the cursor past it. So a step at which that
+    /// transaction is still young fixes the first step any report is
+    /// possible, and the O(live) scan waits until then.
+    fn check_starvation(&mut self, view: &SystemView<'_>, t: Time, live: u64) {
+        if t < self.starve_next_check {
+            return;
         }
-        let ev = HealthEvent {
-            t,
-            live,
-            oldest,
-            kind,
+        let cursor = self.starve_cursor;
+        let next = view
+            .live_txns()
+            .map(|lt| (lt.txn.generated_at, lt.txn.id))
+            .filter(|&key| Some(key) > cursor)
+            .min();
+        let age_limit = self.cfg.starvation_age;
+        let Some((arrived, txn)) = next else {
+            // Every live transaction is reported; the next candidate
+            // arrives at step t + 1 at the earliest.
+            self.starve_next_check = t.saturating_add(age_limit).saturating_add(2);
+            return;
         };
+        let age = t.saturating_sub(arrived);
+        if age > age_limit {
+            self.starve_cursor = Some((arrived, txn));
+            self.starve_next_check = t + 1;
+            self.emit(
+                Some(view),
+                t,
+                live,
+                HealthEventKind::Starvation { txn, arrived, age },
+            );
+        } else {
+            self.starve_next_check = arrived.saturating_add(age_limit).saturating_add(1);
+        }
+    }
+
+    /// The effects-only detectors: overload and commit stall. `view`
+    /// only supplies the events' context sample.
+    fn check_effects(&mut self, view: Option<&SystemView<'_>>, effects: &StepEffects) {
+        let t = effects.t;
+        let live = effects.live_after as u64;
+        if !effects.committed.is_empty() || effects.live_after == 0 {
+            self.last_activity = t;
+        }
+
+        // Overload: half-window backlog slope with hysteresis.
+        if let Some((early_mean, late_mean, slope)) = self.push_backlog(live) {
+            let kind = HealthEventKind::Overload {
+                early_mean,
+                late_mean,
+                slope,
+            };
+            self.emit(view, t, live, kind);
+        }
+
+        // Commit stall: live work but no commits for a full window.
+        if effects.live_after > 0 && t.saturating_sub(self.last_activity) >= self.cfg.stall_window {
+            let kind = HealthEventKind::CommitStall {
+                idle_since: self.last_activity,
+                window: self.cfg.stall_window,
+            };
+            self.emit(view, t, live, kind);
+            // Re-arm: the next stall event needs another full window.
+            self.last_activity = t;
+        }
+    }
+
+    /// Retain (or count as suppressed) one event; its context sample is
+    /// read from `view` only when the event is retained.
+    fn emit(&mut self, view: Option<&SystemView<'_>>, t: Time, live: u64, kind: HealthEventKind) {
+        let first = self.is_healthy();
         if self.events.len() < self.cfg.max_events {
-            self.events.push(ev);
+            let oldest = view.map_or_else(Vec::new, oldest_live);
+            self.events.push(HealthEvent {
+                t,
+                live,
+                oldest,
+                kind,
+            });
         } else {
             self.suppressed += 1;
         }
@@ -383,135 +443,56 @@ impl HealthMonitor {
         }
         None
     }
+}
 
-    fn is_live(&self, id: TxnId) -> bool {
-        self.live.binary_search_by_key(&id, |&(i, _)| i).is_ok()
-    }
-
-    /// Smallest live transaction id, the O(1) liveness witness for the
-    /// queue fronts: a queue front is `<=` every live id (ids are
-    /// monotone), so a front equal to the minimum is live without a
-    /// binary search.
-    fn min_live(&self) -> Option<TxnId> {
-        self.live.first().map(|&(id, _)| id)
-    }
-
-    fn arrive(&mut self, id: TxnId, t: Time) {
-        match self.live.last() {
-            // Monotone ids: an arrival is an O(1) append.
-            Some(&(last, _)) if id > last => self.live.push((id, t)),
-            None => self.live.push((id, t)),
-            _ => match self.live.binary_search_by_key(&id, |&(i, _)| i) {
-                Ok(_) => return, // duplicate arrival: sources never produce these
-                Err(pos) => self.live.insert(pos, (id, t)),
-            },
+/// The first [`CONTEXT_SAMPLE`] live transactions in `(generated_at, id)`
+/// order.
+fn oldest_live(view: &SystemView<'_>) -> Vec<TxnId> {
+    let mut oldest: Vec<(Time, TxnId)> = Vec::with_capacity(CONTEXT_SAMPLE + 1);
+    for lt in view.live_txns() {
+        let key = (lt.txn.generated_at, lt.txn.id);
+        if oldest.len() == CONTEXT_SAMPLE && key > oldest[CONTEXT_SAMPLE - 1] {
+            continue;
         }
-        self.age_queue.push_back((t, id));
-        self.starve_queue.push_back((t, id));
+        let pos = oldest.partition_point(|&k| k < key);
+        oldest.insert(pos, key);
+        oldest.truncate(CONTEXT_SAMPLE);
     }
-
-    fn retire(&mut self, id: TxnId) {
-        if let Ok(pos) = self.live.binary_search_by_key(&id, |&(i, _)| i) {
-            self.live.remove(pos);
-        }
-    }
+    oldest.into_iter().map(|(_, id)| id).collect()
 }
 
 impl StepObserver for HealthMonitor {
-    fn on_phase(
-        &mut self,
-        _t: Time,
-        _phase: dtm_sim::Phase,
-        _items: usize,
-        _elapsed: std::time::Duration,
-    ) {
-        // Never called: wants_phases declines every step.
-    }
-
     fn wants_timing(&self, _t: Time) -> bool {
         false // never ask the engine to pay for Instant::now
     }
 
     fn wants_phases(&self, _t: Time) -> bool {
-        false // step-granular detectors: everything is in the effects
+        false // step-granular detectors: effects and the step-end view
     }
 
+    /// Without a view only overload and commit stall run, and their
+    /// events carry no context sample.
     fn on_step_end(&mut self, effects: &StepEffects) {
-        let t = effects.t;
-        let live = effects.live_after as u64;
-        for &id in &effects.arrived {
-            self.arrive(id, t);
-        }
-        for &id in &effects.committed {
-            self.retire(id);
-        }
-        for &id in &effects.aborted {
-            self.retire(id);
-        }
-        // Sweep tombstones off the queue fronts (amortized O(1)). The
-        // common case — a live front — is the O(1) min-live comparison;
-        // the binary search only confirms death before a pop (and keeps
-        // the sweep correct even for out-of-order arrivals).
-        let min_live = self.min_live();
-        while let Some(&(_, id)) = self.age_queue.front() {
-            if Some(id) == min_live || self.is_live(id) {
-                break;
-            }
-            self.age_queue.pop_front();
-        }
-        while let Some(&(_, id)) = self.starve_queue.front() {
-            if Some(id) == min_live || self.is_live(id) {
-                break;
-            }
-            self.starve_queue.pop_front();
-        }
-        if !effects.committed.is_empty() || effects.live_after == 0 {
-            self.last_activity = t;
-        }
+        self.check_effects(None, effects);
+    }
 
-        // Overload: half-window backlog slope with hysteresis.
-        if let Some((early_mean, late_mean, slope)) = self.push_backlog(live) {
-            self.emit(
-                t,
-                live,
-                HealthEventKind::Overload {
-                    early_mean,
-                    late_mean,
-                    slope,
-                },
-            );
-        }
-
-        // Commit stall: live work but no commits for a full window.
-        if effects.live_after > 0 && t.saturating_sub(self.last_activity) >= self.cfg.stall_window {
-            let idle_since = self.last_activity;
-            self.emit(
-                t,
-                live,
-                HealthEventKind::CommitStall {
-                    idle_since,
-                    window: self.cfg.stall_window,
-                },
-            );
-            // Re-arm: the next stall event needs another full window.
-            self.last_activity = t;
-        }
-
-        // Starvation: oldest unreported live transaction past the age
-        // threshold (at most one event per step; each txn fires once —
-        // the front is live after the tombstone sweep above).
-        if let Some(&(arrived, txn)) = self.starve_queue.front() {
-            let age = t.saturating_sub(arrived);
-            if age > self.cfg.starvation_age {
-                self.starve_queue.pop_front();
-                self.emit(t, live, HealthEventKind::Starvation { txn, arrived, age });
-            }
-        }
+    fn on_step_end_in(&mut self, view: &SystemView<'_>, effects: &StepEffects) {
+        let (t, live) = (effects.t, effects.live_after as u64);
+        self.check_effects(Some(view), effects);
+        self.check_starvation(view, t, live);
+        let arena = view.txn_arena();
+        self.check_arena(
+            Some(view),
+            t,
+            live,
+            arena.slot_high_water(),
+            arena.peak_live(),
+        );
     }
 }
 
 /// Shared handle: the engine owns one end as an observer, the harness
-/// keeps the other to read events and feed [`HealthMonitor::probe_arena`].
+/// keeps the other to read events.
 pub type HealthMonitorHandle = Arc<Mutex<HealthMonitor>>;
 
 /// Fresh shared monitor.
@@ -522,12 +503,50 @@ pub fn health_monitor(cfg: HealthConfig) -> HealthMonitorHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtm_graph::{topology, Network, NodeId};
+    use dtm_model::{ObjectId, Transaction};
+    use dtm_sim::{LiveTxn, RuntimeState};
 
     fn fx(t: Time, live: usize) -> StepEffects {
         StepEffects {
             t,
             live_after: live,
             ..StepEffects::default()
+        }
+    }
+
+    /// A live set outside any kernel, so a test can hand the monitor a
+    /// real [`SystemView`]: each step applies its arrivals and commits
+    /// the way the kernel would, then runs the monitor's step end.
+    struct LiveSet {
+        net: Network,
+        state: RuntimeState,
+    }
+
+    impl LiveSet {
+        fn new() -> Self {
+            LiveSet {
+                net: topology::line(2),
+                state: RuntimeState::new(),
+            }
+        }
+
+        fn step(&mut self, m: &mut HealthMonitor, t: Time, arrive: &[u64], commit: &[u64]) {
+            let mut e = fx(t, 0);
+            for &id in arrive {
+                let txn = Transaction::new(TxnId(id), NodeId(0), [ObjectId(0)], t);
+                self.state.insert_txn(LiveTxn {
+                    txn,
+                    scheduled: None,
+                });
+                e.arrived.push(TxnId(id));
+            }
+            for &id in commit {
+                self.state.remove_txn(TxnId(id));
+                e.committed.push(TxnId(id));
+            }
+            e.live_after = self.state.txns().len();
+            m.on_step_end_in(&SystemView::from_state(t, &self.net, &self.state), &e);
         }
     }
 
@@ -620,11 +639,10 @@ mod tests {
     #[test]
     fn commit_stall_fires_and_rearms() {
         let mut m = HealthMonitor::new(cfg_small());
-        let mut e = fx(0, 1);
-        e.arrived.push(TxnId(7));
-        m.on_step_end(&e);
+        let mut live = LiveSet::new();
+        live.step(&mut m, 0, &[7], &[]);
         for t in 1..25u64 {
-            m.on_step_end(&fx(t, 1));
+            live.step(&mut m, t, &[], &[]);
         }
         let stalls: Vec<&HealthEvent> = m
             .events()
@@ -639,49 +657,49 @@ mod tests {
         assert_eq!(stalls[0].live, 1);
     }
 
+    fn starved(m: &HealthMonitor) -> Vec<(Time, TxnId)> {
+        m.events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                HealthEventKind::Starvation { txn, .. } => Some((e.t, txn)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn starvation_reports_each_txn_once_oldest_first() {
         let mut m = HealthMonitor::new(cfg_small());
-        let mut e = fx(0, 2);
-        e.arrived.push(TxnId(1));
-        e.arrived.push(TxnId(2));
-        m.on_step_end(&e);
-        for t in 1..40u64 {
-            let mut e = fx(t, 2);
-            if t % 9 == 0 {
-                // Periodic commits of *other* txns keep the stall
-                // detector quiet while 1 and 2 starve.
-                e.arrived.push(TxnId(100 + t));
-                e.committed.push(TxnId(100 + t));
-            }
-            m.on_step_end(&e);
+        let mut live = LiveSet::new();
+        live.step(&mut m, 0, &[1, 2], &[]);
+        for t in 1..60u64 {
+            // Periodic commits of *other* txns keep the stall detector
+            // quiet while 1 and 2 starve.
+            let other = [100 + t];
+            let churn: &[u64] = if t % 9 == 0 { &other } else { &[] };
+            live.step(&mut m, t, churn, churn);
         }
-        let starved: Vec<TxnId> = m
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                HealthEventKind::Starvation { txn, .. } => Some(txn),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(starved, vec![TxnId(1), TxnId(2)]);
-        // Retiring a starved txn cleans its tracking state.
-        let mut e = fx(40, 0);
-        e.committed.push(TxnId(1));
-        e.committed.push(TxnId(2));
-        m.on_step_end(&e);
-        assert!(m.live.is_empty());
-        assert!(m.age_queue.is_empty());
-        assert!(m.starve_queue.is_empty());
+        // Age 20 is passed at t=21; one report per step, never repeated.
+        assert_eq!(starved(&m), vec![(21, TxnId(1)), (22, TxnId(2))]);
+        // Once 1 and 2 retire, a later arrival is next in line.
+        live.step(&mut m, 60, &[300], &[1, 2]);
+        for t in 61..90u64 {
+            live.step(&mut m, t, &[], &[]);
+        }
+        assert_eq!(starved(&m).last(), Some(&(81, TxnId(300))));
+        assert_eq!(
+            m.events().last().map(|e| e.oldest.clone()),
+            Some(vec![TxnId(300)])
+        );
     }
 
     #[test]
     fn arena_probe_fires_once_on_drift() {
         let mut m = HealthMonitor::new(cfg_small());
-        m.probe_arena(5, 10, 10); // invariant holds
+        m.check_arena(None, 5, 0, 10, 10); // invariant holds
         assert!(m.is_healthy());
-        m.probe_arena(6, 11, 10); // drift
-        m.probe_arena(7, 12, 10); // still drifting: no second event
+        m.check_arena(None, 6, 0, 11, 10); // drift
+        m.check_arena(None, 7, 0, 12, 10); // still drifting: no second event
         assert_eq!(m.events().len(), 1);
         assert_eq!(m.events()[0].kind.tag(), "arena-drift");
     }
@@ -692,17 +710,59 @@ mod tests {
         cfg.max_events = 2;
         cfg.starvation_age = 1;
         let mut m = HealthMonitor::new(cfg);
-        let mut e = fx(0, 5);
-        for i in 0..5u64 {
-            e.arrived.push(TxnId(i));
-        }
-        m.on_step_end(&e);
+        let mut live = LiveSet::new();
+        live.step(&mut m, 0, &[0, 1, 2, 3, 4], &[]);
         for t in 1..20u64 {
-            m.on_step_end(&fx(t, 5));
+            live.step(&mut m, t, &[], &[]);
         }
         assert_eq!(m.events().len(), 2);
         assert!(m.suppressed() > 0);
         assert!(!m.is_healthy());
+    }
+
+    /// Kernel-driven: a trace whose ids run against generation order
+    /// (t=0 arrives 9 then 4, t=1 arrives 2) is reported, and sampled,
+    /// by `(generated_at, id)` — not by id, and not by arrival order.
+    #[test]
+    fn starvation_orders_a_trace_by_generation_then_id() {
+        use dtm_model::{Instance, ObjectInfo, Schedule, TraceSource};
+        use dtm_sim::{Engine, EngineConfig, FixedSchedulePolicy};
+        let txn = |id: u64, t: Time| Transaction::new(TxnId(id), NodeId(0), [ObjectId(0)], t);
+        let instance = Instance {
+            objects: vec![ObjectInfo {
+                id: ObjectId(0),
+                origin: NodeId(1),
+                created_at: 0,
+            }],
+            txns: vec![txn(9, 0), txn(4, 0), txn(2, 1)],
+        };
+        let monitor = health_monitor(HealthConfig {
+            slope_tol: 10.0,
+            stall_window: 1_000,
+            starvation_age: 5,
+            ..HealthConfig::default()
+        });
+        // Nothing is ever scheduled, so all three starve.
+        let mut kernel = Engine::new(
+            topology::line(2),
+            FixedSchedulePolicy::new(Schedule::new()),
+            EngineConfig::default(),
+        )
+        .with_observer(Arc::clone(&monitor))
+        .into_kernel(TraceSource::new(instance));
+        assert_eq!(
+            kernel.tick().map(|fx| fx.arrived.clone()),
+            Some(vec![TxnId(9), TxnId(4)])
+        );
+        kernel.run_for(11);
+        let m = monitor.lock();
+        assert_eq!(
+            starved(&m),
+            vec![(6, TxnId(4)), (7, TxnId(9)), (8, TxnId(2))]
+        );
+        for e in m.events() {
+            assert_eq!(e.oldest, vec![TxnId(4), TxnId(9), TxnId(2)], "{e:?}");
+        }
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! `dtm-telemetry`: observability for the DTM scheduling workspace.
 //!
-//! Three layers, usable independently:
+//! Layers, usable independently:
 //!
 //! * [`MetricsRegistry`] — lock-cheap named counters, gauges and
 //!   log2-bucketed histograms with a serializable [`MetricsSnapshot`]
 //!   (the `--telemetry` sidecar format);
 //! * [`TelemetrySink`] — a [`dtm_sim::StepObserver`] feeding the
 //!   registry live (phase item counts, sampled wall-clock phase timing,
-//!   live-set tracking), plus [`record_run`] to fold a finished
+//!   live-set size), plus [`record_run`] to fold a finished
 //!   [`dtm_sim::RunResult`] into queue-wait / time-to-commit / hop
 //!   histograms;
-//! * [`SteadyStateProbe`] — a backlog / sojourn-latency observer for
-//!   open-system (streaming) runs, whose results exist only as the
-//!   stream flows by ([`dtm_sim::Retention::Streaming`] retains no
-//!   per-transaction history to fold afterwards);
+//! * [`steady_names`] — the backlog / sojourn-latency entries of an
+//!   open-system (streaming) run, which retains no per-transaction
+//!   history to fold afterwards ([`dtm_sim::Retention::Streaming`]); the
+//!   streaming harness writes them from kernel state as the run goes;
 //! * [`RunTrace`] — a structured trace joining the engine's event log,
 //!   the policy's [`DecisionTrace`] and the sink's sampled
 //!   [`PhaseSpan`]s, exportable as JSONL or Chrome `trace_event` JSON
@@ -23,8 +23,9 @@
 //!   (O(K) memory regardless of run length) with a deterministic JSONL
 //!   [`FlightRecorder::dump`] — the black box for long open-system runs;
 //! * [`HealthMonitor`] — typed [`HealthEvent`] watchdogs (overload,
-//!   commit stall, starvation, arena drift) over the step stream, with
-//!   flight-recorder auto-dump on first event;
+//!   commit stall, starvation, arena drift) over the step stream and
+//!   the kernel's step-end view, with flight-recorder auto-dump on first
+//!   event;
 //! * [`PeriodicExposer`] — periodic [`MetricsSnapshot`] flushing to JSON
 //!   and/or Prometheus text format ([`prometheus_text`]) while a run is
 //!   still in flight.
@@ -44,7 +45,6 @@ pub mod flight;
 pub mod health;
 pub mod registry;
 pub mod sink;
-pub mod steady;
 pub mod trace;
 
 pub use decision::{decision_trace, Decision, DecisionKind, DecisionTrace, DecisionTraceHandle};
@@ -60,6 +60,7 @@ pub use health::{
 pub use registry::{
     Counter, Gauge, Histogram, HistogramBucket, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use sink::{names, record_run, run_names, PhaseSpan, TelemetrySink, DEFAULT_TIMING_SAMPLE};
-pub use steady::{steady_names, SteadyStateProbe};
+pub use sink::{
+    names, record_run, run_names, steady_names, PhaseSpan, TelemetrySink, DEFAULT_TIMING_SAMPLE,
+};
 pub use trace::{slowest_transactions, validate_chrome_trace, RunTrace};

@@ -7,6 +7,7 @@
 //! the registry's lifetime; [`MetricsRegistry::snapshot`] freezes them
 //! into a serde-serializable [`MetricsSnapshot`].
 
+use dtm_sim::Log2Histogram;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -109,6 +110,20 @@ impl Histogram {
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
+    }
+
+    /// Overwrite with the samples of `src`: the same 65 log2 buckets,
+    /// so this equals recording them into an empty histogram (the `u64`
+    /// sum wraps as [`Histogram::record`]'s does).
+    pub fn store_log2(&self, src: &Log2Histogram) {
+        for (bucket, &n) in self.buckets.iter().zip(src.buckets()) {
+            bucket.store(n, Ordering::Relaxed);
+        }
+        let min = Some(src.min()).filter(|_| src.count() > 0);
+        self.count.store(src.count(), Ordering::Relaxed);
+        self.sum.store(src.sum() as u64, Ordering::Relaxed);
+        self.min.store(min.unwrap_or(u64::MAX), Ordering::Relaxed);
+        self.max.store(src.max(), Ordering::Relaxed);
     }
 
     /// Freeze into a serializable snapshot.
@@ -370,6 +385,25 @@ mod tests {
         assert_eq!(s.min, 0);
         assert_eq!(s.max, n - 1);
         assert_eq!(s.buckets.iter().map(|b| b.count).sum::<u64>(), n);
+    }
+
+    /// Copying a kernel `Log2Histogram` gives the snapshot that
+    /// recording the same samples would, empty or not.
+    #[test]
+    fn store_log2_equals_recording_the_samples() {
+        let samples = [0u64, 1, 2, 3, 7, 8, 1000, u64::MAX];
+        for n in [0, 1, samples.len()] {
+            let mut src = Log2Histogram::new();
+            let recorded = Histogram::default();
+            for &v in &samples[..n] {
+                src.record(v);
+                recorded.record(v);
+            }
+            let stored = Histogram::default();
+            stored.record(5); // overwritten, not added to
+            stored.store_log2(&src);
+            assert_eq!(stored.snapshot(), recorded.snapshot(), "{n} samples");
+        }
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //! *sampled* — [`TelemetrySink::wants_timing`] opts in only every
 //! `sample_every`-th step, so the engine skips its `Instant::now` calls
 //! on the others. `sample_every = 0` disables wall-clock sampling
-//! entirely; [`TelemetrySink::with_full_timing`] times every step (the
-//! [`dtm_sim::PhaseProfile`] behavior).
+//! entirely; [`TelemetrySink::with_full_timing`] times every step.
 
 use crate::registry::{Counter, Gauge, Histogram, MetricsRegistry};
 use dtm_model::Time;
@@ -181,6 +180,24 @@ impl StepObserver for TelemetrySink {
     fn wants_timing(&self, t: Time) -> bool {
         self.timed(t)
     }
+}
+
+/// Metric names of an open-system run's steady state, written by the
+/// streaming harness (`dtm_bench::run_stream`) from kernel state.
+pub mod steady_names {
+    /// Live-set (backlog) size after each step, as a histogram.
+    pub const BACKLOG: &str = "steady_backlog_size";
+    /// Current backlog, as a gauge.
+    pub const BACKLOG_NOW: &str = "steady_backlog_current";
+    /// Peak step-end backlog, as a gauge.
+    pub const BACKLOG_PEAK: &str = "steady_backlog_peak";
+    /// Sojourn latency of post-warmup transactions
+    /// ([`dtm_sim::StepKernel::sojourn_latency`]).
+    pub const SOJOURN: &str = "steady_sojourn_steps";
+    /// Commits of post-warmup transactions (the sojourn sample count).
+    pub const COMMITS: &str = "steady_commits_total";
+    /// Aborts (missed executions) at post-warmup steps.
+    pub const ABORTS: &str = "steady_aborts_total";
 }
 
 /// Metric names used by [`record_run`].

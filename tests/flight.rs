@@ -87,22 +87,52 @@ fn overloaded_run(dump_path: &std::path::Path) -> (Vec<HealthEvent>, String) {
         .with_observer(Arc::clone(&recorder))
         .with_observer(Arc::clone(&monitor))
         .into_kernel(source);
-    // Feed the arena probe the way the streaming harness does.
-    while kernel.now() < STEPS {
-        if kernel.tick().is_none() {
-            break;
-        }
-        if kernel.now().is_multiple_of(256) {
-            let v = kernel.vitals();
-            monitor
-                .lock()
-                .probe_arena(v.now, v.arena_high_water, v.peak_live);
-        }
-    }
+    assert_eq!(kernel.run_for(STEPS), STEPS);
     let events = monitor.lock().events().to_vec();
     let dump = std::fs::read_to_string(dump_path).expect("auto-dump written at first event");
     (events, dump)
 }
+
+/// The `(t, kind tag, starved txn)` sequence [`overloaded_run`] emits:
+/// one overload, then one starvation per step from t=2020 until the
+/// 64-event cap. Captured when the monitor still kept its own copy of
+/// the live set, before it read the kernel's step-end view; any change
+/// to the detectors must reproduce it exactly.
+#[rustfmt::skip]
+const EXPECTED_EVENTS: [(u64, &str, Option<u64>); 64] = [
+    (511, "overload", None), (2020, "starvation", Some(1493)), (2022, "starvation", Some(1495)),
+    (2023, "starvation", Some(1496)), (2024, "starvation", Some(1497)),
+    (2025, "starvation", Some(1498)), (2026, "starvation", Some(1500)),
+    (2027, "starvation", Some(1501)), (2028, "starvation", Some(1502)),
+    (2029, "starvation", Some(1504)), (2030, "starvation", Some(1505)),
+    (2031, "starvation", Some(1507)), (2032, "starvation", Some(1508)),
+    (2033, "starvation", Some(1510)), (2034, "starvation", Some(1511)),
+    (2035, "starvation", Some(1512)), (2036, "starvation", Some(1513)),
+    (2037, "starvation", Some(1514)), (2038, "starvation", Some(1515)),
+    (2039, "starvation", Some(1516)), (2040, "starvation", Some(1517)),
+    (2041, "starvation", Some(1518)), (2042, "starvation", Some(1519)),
+    (2043, "starvation", Some(1520)), (2044, "starvation", Some(1521)),
+    (2045, "starvation", Some(1522)), (2046, "starvation", Some(1523)),
+    (2047, "starvation", Some(1524)), (2048, "starvation", Some(1525)),
+    (2049, "starvation", Some(1526)), (2050, "starvation", Some(1527)),
+    (2051, "starvation", Some(1528)), (2052, "starvation", Some(1529)),
+    (2053, "starvation", Some(1530)), (2054, "starvation", Some(1531)),
+    (2055, "starvation", Some(1532)), (2056, "starvation", Some(1533)),
+    (2057, "starvation", Some(1534)), (2058, "starvation", Some(1535)),
+    (2059, "starvation", Some(1536)), (2060, "starvation", Some(1537)),
+    (2061, "starvation", Some(1538)), (2062, "starvation", Some(1539)),
+    (2063, "starvation", Some(1540)), (2064, "starvation", Some(1541)),
+    (2065, "starvation", Some(1542)), (2066, "starvation", Some(1543)),
+    (2067, "starvation", Some(1544)), (2068, "starvation", Some(1545)),
+    (2069, "starvation", Some(1546)), (2070, "starvation", Some(1547)),
+    (2071, "starvation", Some(1548)), (2072, "starvation", Some(1549)),
+    (2073, "starvation", Some(1550)), (2074, "starvation", Some(1551)),
+    (2075, "starvation", Some(1552)), (2076, "starvation", Some(1553)),
+    (2077, "starvation", Some(1554)), (2078, "starvation", Some(1555)),
+    (2079, "starvation", Some(1556)), (2080, "starvation", Some(1557)),
+    (2081, "starvation", Some(1558)), (2082, "starvation", Some(1559)),
+    (2083, "starvation", Some(1560)),
+];
 
 /// A deliberately overloaded run must produce a deterministic
 /// `HealthEvent` sequence — the same events, at the same steps, across
@@ -128,6 +158,18 @@ fn forced_overload_fires_deterministic_events_and_valid_dump() {
         events_a.iter().all(|e| e.kind.tag() != "arena-drift"),
         "arena drift under overload: {events_a:?}"
     );
+
+    let got: Vec<(u64, &str, Option<u64>)> = events_a
+        .iter()
+        .map(|e| {
+            let txn = match e.kind {
+                dtm_telemetry::HealthEventKind::Starvation { txn, .. } => Some(txn.0),
+                _ => None,
+            };
+            (e.t, e.kind.tag(), txn)
+        })
+        .collect();
+    assert_eq!(got, EXPECTED_EVENTS, "pinned health event sequence");
 
     // Determinism: byte-identical event stream and auto-dump on rerun.
     let (events_b, dump_b) = overloaded_run(&path_b);

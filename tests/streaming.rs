@@ -13,9 +13,7 @@ use dtm_graph::{topology, NodeId};
 use dtm_model::{ArrivalProcess, ObjectId, OpenLoopSource, Time, Transaction, TxnId, WorkloadSpec};
 use dtm_offline::ListScheduler;
 use dtm_sim::{Engine, EngineConfig, LiveTxn, Retention, RunStatus, TxnArena};
-use dtm_telemetry::{steady_names, MetricsRegistry, SteadyStateProbe};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn streaming_config(warmup: Time, max_steps: Time) -> EngineConfig {
     EngineConfig {
@@ -253,34 +251,6 @@ fn run_status_distinguishes_drained_open_and_limit() {
     }
     assert_eq!(kernel.status(), RunStatus::StepLimit);
     assert!(!kernel.drained());
-}
-
-/// The telemetry probe's live-set tracking agrees with the kernel across
-/// an open run: backlog gauge == kernel live count at every probe point,
-/// commit counter == kernel commit count at the end.
-#[test]
-fn steady_state_probe_tracks_kernel_backlog() {
-    let net = topology::clique(8);
-    let spec = WorkloadSpec::batch_uniform(8, 2);
-    let source = OpenLoopSource::new(net.clone(), spec, ArrivalProcess::Poisson { rate: 0.6 }, 17);
-    // Probe warmup 0: its commit counter must then agree exactly with
-    // the kernel's (a nonzero warmup would skip cold-start generations).
-    let registry = Arc::new(MetricsRegistry::new());
-    let probe = SteadyStateProbe::new(Arc::clone(&registry), 0);
-    let mut kernel = Engine::new(net, GreedyPolicy::new(), streaming_config(200, u64::MAX))
-        .with_observer(probe)
-        .into_kernel(source);
-    for _ in 0..20 {
-        kernel.run_for(500);
-        let snapshot = registry.snapshot();
-        let gauge = snapshot.gauges[steady_names::BACKLOG_NOW];
-        assert_eq!(gauge as usize, kernel.live_count());
-    }
-    let snapshot = registry.snapshot();
-    assert_eq!(
-        snapshot.counters[steady_names::COMMITS],
-        kernel.commit_count()
-    );
 }
 
 fn txn(id: u64) -> LiveTxn {

@@ -1,6 +1,6 @@
 //! Observability must never perturb a run: attaching the full telemetry
-//! stack (phase profiler + metrics/trace sink + steady-state probe +
-//! flight recorder + health monitor + per-policy decision trace) to the
+//! stack (metrics/trace sink + flight recorder + health monitor +
+//! per-policy decision trace) to the
 //! golden-trace scenario must leave the schedule, commits, metrics and
 //! the entire event log byte-identical to the bare run, for every
 //! online policy.
@@ -15,10 +15,10 @@ use dtm_core::{
 use dtm_graph::{topology, Network};
 use dtm_model::{FiniteArrivals, ObjectChoice, TraceSource, WorkloadGenerator, WorkloadSpec};
 use dtm_offline::ListScheduler;
-use dtm_sim::{run_policy, Engine, EngineConfig, PhaseProfile, RunResult, SchedulingPolicy};
+use dtm_sim::{run_policy, Engine, EngineConfig, RunResult, SchedulingPolicy};
 use dtm_telemetry::{
     decision_trace, flight_recorder, health_monitor, validate_chrome_trace, DecisionKind,
-    DecisionTrace, HealthConfig, MetricsRegistry, RunTrace, SteadyStateProbe, TelemetrySink,
+    DecisionTrace, HealthConfig, MetricsRegistry, RunTrace, TelemetrySink,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -41,8 +41,8 @@ fn scenario() -> (Network, dtm_model::Instance) {
 }
 
 /// Run `policy` with the full observer stack attached — metrics/trace
-/// sink, phase profiler, steady-state probe, flight recorder, and
-/// health watchdogs; returns the run plus the captured side channels.
+/// sink, flight recorder, and health watchdogs; returns the run plus
+/// the captured side channels.
 fn observed_run(
     net: &Network,
     inst: dtm_model::Instance,
@@ -53,14 +53,10 @@ fn observed_run(
     let sink = Arc::new(Mutex::new(
         TelemetrySink::new(Arc::clone(&registry)).with_full_timing(),
     ));
-    let profile = Arc::new(Mutex::new(PhaseProfile::default()));
-    let probe = Arc::new(Mutex::new(SteadyStateProbe::new(Arc::clone(&registry), 0)));
     let recorder = flight_recorder(32);
     let monitor = health_monitor(HealthConfig::default());
     let res = Engine::new(net.clone(), policy, config)
         .with_observer(Arc::clone(&sink))
-        .with_observer(Arc::clone(&profile))
-        .with_observer(Arc::clone(&probe))
         .with_observer(Arc::clone(&recorder))
         .with_observer(Arc::clone(&monitor))
         .run(TraceSource::new(inst));
