@@ -26,8 +26,8 @@
 //! kernel state after each tick.
 //! Every cell writes `<policy>-<source>.flight.jsonl` (plus an
 //! `.onset.flight.jsonl` at the first health event) into `--out`, so a
-//! failing CI job uploads the black boxes as artifacts. Exits nonzero
-//! on any failed verdict.
+//! failing CI job uploads the black boxes as artifacts; `trace_report`
+//! renders them. Exits nonzero on any failed verdict.
 
 use dtm_bench::{fail, flag_value, run_stream_observed, ObserveSpec};
 use dtm_core::{

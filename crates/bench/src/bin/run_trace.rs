@@ -6,7 +6,8 @@
 //!     [--timeline] [--emit-trace run.jsonl]
 //! # policy: greedy | bucket | fifo | tsp | distributed (default: greedy)
 //! # --timeline additionally renders the per-object ASCII Gantt chart
-//! # --emit-trace writes the full structured run trace (JSONL) for
+//! # --emit-trace writes the full run record (JSONL: every step's
+//! #   effects, transaction bodies, decisions, sampled phase timings) for
 //! #   trace_report / Perfetto conversion
 //! ```
 //!
@@ -22,7 +23,7 @@ use dtm_offline::{competitive_ratio, ListScheduler};
 use dtm_sim::{
     validate_events, Engine, EngineConfig, RunResult, SchedulingPolicy, ValidationConfig,
 };
-use dtm_telemetry::{decision_trace, MetricsRegistry, RunTrace, TelemetrySink};
+use dtm_telemetry::{decision_trace, FlightRecorder, FlightRecorderHandle, DEFAULT_TIMING_SAMPLE};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -33,11 +34,11 @@ fn run_with_observers(
     instance: Instance,
     policy: Box<dyn SchedulingPolicy>,
     config: EngineConfig,
-    sink: Option<Arc<Mutex<TelemetrySink>>>,
+    recorder: Option<FlightRecorderHandle>,
 ) -> RunResult {
     let mut engine = Engine::new(net.clone(), policy, config);
-    if let Some(sink) = sink {
-        engine = engine.with_observer(sink);
+    if let Some(recorder) = recorder {
+        engine = engine.with_observer(recorder);
     }
     engine.run(TraceSource::new(instance))
 }
@@ -71,13 +72,18 @@ fn main() {
         fail(&format!("{path} does not fit topology {topo}: {e}"));
     }
 
-    // Observability side channels: only attached when a structured trace
-    // was requested, so the plain replay path stays identical to before.
-    let registry = Arc::new(MetricsRegistry::new());
+    // Observability side channels: only attached when a run record was
+    // requested, so the plain replay path stays identical to before. The
+    // recorder keeps every step and all decisions, and times phases at
+    // the telemetry sink's cadence.
     let decisions = decision_trace();
-    let sink = emit_trace
-        .as_ref()
-        .map(|_| Arc::new(Mutex::new(TelemetrySink::new(Arc::clone(&registry)))));
+    let recorder = emit_trace.as_ref().map(|_| {
+        Arc::new(Mutex::new(
+            FlightRecorder::new(usize::MAX)
+                .with_timing_sample(DEFAULT_TIMING_SAMPLE)
+                .with_decisions(Arc::clone(&decisions), usize::MAX),
+        ))
+    });
     let trace_on = emit_trace.is_some();
     let dt = |on: bool| on.then(|| Arc::clone(&decisions));
 
@@ -147,7 +153,7 @@ fn main() {
             )),
         };
 
-    let res = run_with_observers(&net, instance, policy, config, sink.clone());
+    let res = run_with_observers(&net, instance, policy, config, recorder.clone());
     res.expect_ok();
     validate_events(&net, &res, &vcfg).expect("execution validates");
     let ratio = competitive_ratio(&net, &res);
@@ -160,14 +166,13 @@ fn main() {
     println!("max latency     : {}", res.metrics.latency.max);
     println!("comm cost       : {}", res.metrics.comm_cost);
     println!("ratio (vs LB)   : {:.2}", ratio.max_ratio);
-    if let Some(out) = emit_trace {
-        let phases = sink.map(|s| s.lock().take_spans()).unwrap_or_default();
-        let trace = RunTrace::from_run(&res, phases, Some(&decisions.lock()));
+    if let (Some(out), Some(recorder)) = (emit_trace, recorder) {
+        let trace = recorder.lock().trace().with_run(&res);
         std::fs::write(&out, trace.to_jsonl())
             .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
         println!(
-            "trace           : {out} ({} events, {} decisions, {} phase spans)",
-            trace.events.len(),
+            "trace           : {out} ({} steps, {} decisions, {} phase spans)",
+            trace.steps.len(),
             trace.decisions.len(),
             trace.phases.len()
         );

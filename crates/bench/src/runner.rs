@@ -442,12 +442,10 @@ impl ObserveAttach {
             }
         }
         if let Some(recorder) = &self.recorder {
-            let mut text = recorder.lock().dump();
-            if let Some(monitor) = &self.monitor {
-                text.push_str(&monitor.lock().events_jsonl());
-            }
+            let mut dump = recorder.lock().trace();
+            dump.health = out.health_events.clone();
             let path = self.dir.join(format!("{}.flight.jsonl", self.label));
-            match std::fs::write(&path, text) {
+            match std::fs::write(&path, dump.to_jsonl()) {
                 Ok(()) => out.flight_dump = Some(path),
                 Err(e) => {
                     out.io_error

@@ -1,10 +1,11 @@
 //! Regression tests for the report and trace binaries' input handling:
-//! `trace_report`, `flight_report`, `gen_trace`, `run_trace` and
+//! `trace_report`, `gen_trace`, `run_trace` and
 //! `long_haul` must fail *gracefully* — an error message on stderr and
 //! exit code 2, never a panic — on missing, empty, truncated or malformed
 //! input, on unknown names and on bad rates, and must process valid input.
 //! The experiment binaries hold their shared flags to the same contract.
 
+use dtm_model::TxnId;
 use dtm_sim::{StepEffects, StepObserver};
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -40,6 +41,55 @@ fn assert_graceful(out: &Output, what: &str) {
     );
 }
 
+/// A real flight dump: 20 steps through a K=8 recorder with three
+/// decisions attached, plus one health line through the one writer.
+fn flight_dump() -> String {
+    let decisions = dtm_telemetry::decision_trace();
+    for i in 0..3u64 {
+        decisions.lock().push(dtm_telemetry::Decision {
+            t: 10 + i,
+            txn: TxnId(40 + i),
+            exec_at: Some(12 + i),
+            kind: dtm_telemetry::DecisionKind::FifoQueue { queue_position: 0 },
+        });
+    }
+    let mut rec = dtm_telemetry::FlightRecorder::new(8).with_decisions(decisions, 2);
+    for t in 0..20u64 {
+        let fx = StepEffects {
+            t,
+            arrived: vec![TxnId(t); (t % 3) as usize],
+            committed: vec![TxnId(t); (t % 2) as usize],
+            live_after: (t % 5) as usize,
+            ..StepEffects::default()
+        };
+        rec.on_step_end(&fx);
+    }
+    let mut trace = rec.trace();
+    trace.health.push(dtm_telemetry::HealthEvent {
+        t: 19,
+        live: 4,
+        oldest: vec![],
+        kind: dtm_telemetry::HealthEventKind::CommitStall {
+            idle_since: 3,
+            window: 16,
+        },
+    });
+    trace.to_jsonl()
+}
+
+/// Each damaged record exits 2 with a diagnostic naming the given line.
+fn assert_bad_records(exe: &str, cases: &[(&str, &str, &str)]) {
+    for &(name, body, line) in cases {
+        let path = tmp_file(&format!("trace-{name}.jsonl"), body);
+        let out = run_bin(exe, &[path.to_str().unwrap()]);
+        assert_graceful(&out, name);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(line), "{name}: line not named: {stderr}");
+    }
+}
+
+/// Every malformed record exits 2 with a diagnostic, as do missing files
+/// and bad flags.
 #[test]
 fn trace_report_fails_gracefully_on_bad_input() {
     let exe = env!("CARGO_BIN_EXE_trace_report");
@@ -56,40 +106,155 @@ fn trace_report_fails_gracefully_on_bad_input() {
     );
     assert_graceful(&run_bin(exe, &[truncated.to_str().unwrap()]), "truncated");
     assert_graceful(&run_bin(exe, &["/nonexistent/trace.jsonl"]), "missing file");
-    let ok_but_bad_flag = tmp_file("trace-flag.jsonl", "{\"type\":\"meta\",\"data\":{}}\n");
-    assert_graceful(
-        &run_bin(exe, &[ok_but_bad_flag.to_str().unwrap(), "--top", "NaN"]),
-        "non-integer --top",
+    let dump = flight_dump();
+    let meta = dump.lines().next().expect("dump has a meta line");
+    // Nesting deep enough to overflow the stack of a recursive parser.
+    let deep = format!("{meta}\n[{}\n", "[".repeat(1_000_000));
+    assert_bad_records(
+        exe,
+        &[
+            (
+                "txn-only",
+                "{\"type\":\"txn\",\"data\":{\"id\":[0]}}\n",
+                "line 1",
+            ),
+            ("deep-nesting", deep.as_str(), "line 2"),
+        ],
     );
+    let valid = tmp_file("trace-flag.jsonl", &dump);
+    for flag in ["--top", "--tail"] {
+        assert_graceful(
+            &run_bin(exe, &[valid.to_str().unwrap(), flag, "NaN"]),
+            &format!("non-integer {flag}"),
+        );
+    }
 }
 
+/// Flight-recorder dumps are read by `trace_report`: a dump cut mid-line,
+/// one whose meta line is missing, misplaced or repeated, and the
+/// version-1 `flight_meta`/`flight_step` line types all exit 2 with a
+/// diagnostic naming the line.
 #[test]
 fn flight_report_fails_gracefully_on_bad_input() {
-    let exe = env!("CARGO_BIN_EXE_flight_report");
-    assert_graceful(&run_bin(exe, &[]), "no args");
-    let empty = tmp_file("flight-empty.jsonl", "");
-    assert_graceful(&run_bin(exe, &[empty.to_str().unwrap()]), "empty file");
-    let garbage = tmp_file("flight-garbage.jsonl", "not json at all\n");
-    assert_graceful(&run_bin(exe, &[garbage.to_str().unwrap()]), "garbage");
+    let exe = env!("CARGO_BIN_EXE_trace_report");
     // A dump cut mid-line (what a killed process leaves behind).
-    let truncated = tmp_file(
-        "flight-truncated.jsonl",
-        "{\"type\":\"flight_meta\",\"data\":{\"version\"",
-    );
-    assert_graceful(&run_bin(exe, &[truncated.to_str().unwrap()]), "truncated");
-    // Valid JSON lines that violate the dump schema (no meta first).
-    let no_meta = tmp_file(
-        "flight-no-meta.jsonl",
-        "{\"type\":\"flight_step\",\"data\":{\"t\":1}}\n",
-    );
-    assert_graceful(
-        &run_bin(exe, &[no_meta.to_str().unwrap()]),
-        "schema violation",
-    );
+    let dump = flight_dump();
+    let cut = tmp_file("flight-cut.jsonl", &dump[..dump.len() / 2]);
+    assert_graceful(&run_bin(exe, &[cut.to_str().unwrap()]), "dump cut mid-line");
     assert_graceful(
         &run_bin(exe, &["/nonexistent/run.flight.jsonl"]),
         "missing file",
     );
+    let lines: Vec<&str> = dump.lines().collect();
+    let join = |ls: &[&str]| ls.iter().map(|l| format!("{l}\n")).collect::<String>();
+    let step_only = join(&lines[1..3]);
+    let meta_second = join(&[lines[1], lines[0]]);
+    let meta_twice = join(&[lines[0], lines[0]]);
+    assert_bad_records(
+        exe,
+        &[
+            ("no-meta", step_only.as_str(), "line 1"),
+            ("meta-second", meta_second.as_str(), "line 1"),
+            ("meta-twice", meta_twice.as_str(), "line 2"),
+            (
+                "old-step",
+                "{\"type\":\"flight_step\",\"data\":{\"t\":1}}\n",
+                "line 1",
+            ),
+            (
+                "old-meta",
+                "{\"type\":\"flight_meta\",\"data\":{\"version\":1}}\n",
+                "line 1",
+            ),
+        ],
+    );
+}
+
+#[test]
+fn trace_report_renders_a_flight_dump() {
+    let path = tmp_file("flight-valid.jsonl", &flight_dump());
+    let out = run_bin(
+        env!("CARGO_BIN_EXE_trace_report"),
+        &[path.to_str().unwrap(), "--tail", "3"],
+    );
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("window          : 8 of 20 steps seen, t = [12, 19]"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("newest 3 steps:"), "{stdout}");
+    // The --tail rows: t, created, arrived, sched, commit, abort, moved, live.
+    for row in [
+        "          17       0       2       0       1       0       0        2",
+        "          18       0       0       0       0       0       0        3",
+        "          19       0       1       0       1       0       0        4",
+    ] {
+        assert!(
+            stdout.contains(&format!("{row}\n")),
+            "missing row {row:?}: {stdout}"
+        );
+    }
+    assert!(!stdout.contains("          16 "), "{stdout}");
+    // The dump's decision tail: the recorder kept the newest two.
+    assert!(stdout.contains("decision tail (2 newest):"), "{stdout}");
+    assert!(
+        stdout.contains("  t=11       txn=T41      fifo-queue"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("  t=12       txn=T42      fifo-queue"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("health events (1):"), "{stdout}");
+    assert!(stdout.contains("commit-stall"), "{stdout}");
+}
+
+/// A full record from the trace pipeline renders with its headline
+/// metrics and a valid Chrome export.
+#[test]
+fn trace_report_renders_a_full_trace() {
+    let trace = tmp_file(
+        "full-pipeline.json",
+        &gen_trace(&["grid", "6", "2", "0.1", "10", "3"]),
+    );
+    let record = trace.with_extension("jsonl");
+    let out = run_bin(
+        env!("CARGO_BIN_EXE_run_trace"),
+        &[
+            trace.to_str().unwrap(),
+            "fifo",
+            "--emit-trace",
+            record.to_str().unwrap(),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let chrome = record.with_extension("chrome.json");
+    let out = run_bin(
+        env!("CARGO_BIN_EXE_trace_report"),
+        &[
+            record.to_str().unwrap(),
+            "--chrome",
+            chrome.to_str().unwrap(),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("policy          : fifo"), "{stdout}");
+    assert!(stdout.contains("slowest transactions"), "{stdout}");
+    assert!(stdout.contains("chrome trace    : "), "{stdout}");
 }
 
 #[test]
@@ -229,33 +394,4 @@ fn gen_trace_output_replays_under_distributed() {
         stdout.contains("topology        : grid([6, 6])"),
         "{stdout}"
     );
-}
-
-#[test]
-fn flight_report_renders_a_real_dump() {
-    // Produce a genuine dump through the recorder, then render it.
-    let mut rec = dtm_telemetry::FlightRecorder::new(8);
-    for t in 0..20u64 {
-        let fx = StepEffects {
-            t,
-            live_after: (t % 5) as usize,
-            ..StepEffects::default()
-        };
-        rec.on_step_end(&fx);
-    }
-    let dump = rec.dump();
-    dtm_telemetry::validate_flight_dump(&dump).expect("dump validates");
-    let path = tmp_file("flight-valid.jsonl", &dump);
-    let exe = env!("CARGO_BIN_EXE_flight_report");
-    let out = run_bin(exe, &[path.to_str().unwrap(), "--tail", "3"]);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("ring capacity K : 8"), "{stdout}");
-    assert!(stdout.contains("steps seen      : 20"), "{stdout}");
-    assert!(stdout.contains("newest 3 step records"), "{stdout}");
-    assert!(stdout.contains("health events   : none"), "{stdout}");
 }

@@ -13,13 +13,27 @@
 //! Effects are purely descriptive. Consuming (or ignoring) them never
 //! changes engine behavior, and the per-tick value is rebuilt from
 //! cleared buffers each step, so it is safe to read, print, or export.
+//! A serialised sequence of them is a run record: with the bodies of
+//! the transactions it names, [`StepEffects::push_events`] folds it back
+//! into the [`Event`] log.
 
+use crate::events::Event;
 use dtm_graph::NodeId;
 use dtm_model::{ObjectId, Time, TxnId};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// An object coming into existence this step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Creation {
+    /// The new object.
+    pub object: ObjectId,
+    /// Its origin node.
+    pub node: NodeId,
+}
+
 /// An object completing an edge traversal this step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Delivery {
     /// The delivered object.
     pub object: ObjectId,
@@ -30,7 +44,7 @@ pub struct Delivery {
 }
 
 /// An object starting an edge traversal this step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Departure {
     /// The departing object.
     pub object: ObjectId,
@@ -47,12 +61,12 @@ pub struct Departure {
 /// Ids within each list appear in the order the engine processed them
 /// (ascending id within a phase), so replaying a sequence of effects is
 /// deterministic.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StepEffects {
     /// The step these effects describe.
     pub t: Time,
-    /// Objects created at this step (phase 0).
-    pub created: Vec<ObjectId>,
+    /// Objects created at this step, with their origins (phase 0).
+    pub created: Vec<Creation>,
     /// Objects whose edge traversal completed (receive phase).
     pub delivered: Vec<Delivery>,
     /// Transactions generated at this step (generate phase).
@@ -130,6 +144,45 @@ impl StepEffects {
             .chain(self.departed.iter().map(|d| d.object))
     }
 
+    /// Append the [`Event`]s this step stands for to `out`, in phase
+    /// order, each list in the order its phase processed it — the order
+    /// the phases themselves ran in. Generation and commit events carry
+    /// the transaction's home node, which the effects do not: `home`
+    /// supplies it, and an id it cannot place yields no event.
+    pub fn push_events(&self, home: impl Fn(TxnId) -> Option<NodeId>, out: &mut Vec<Event>) {
+        let t = self.t;
+        out.extend(self.created.iter().map(|c| Event::ObjectCreated {
+            t,
+            object: c.object,
+            node: c.node,
+        }));
+        out.extend(self.delivered.iter().map(|d| Event::Arrived {
+            t,
+            object: d.object,
+            node: d.node,
+        }));
+        out.extend(self.arrived.iter().filter_map(|&txn| {
+            let node = home(txn)?;
+            Some(Event::Generated { t, txn, node })
+        }));
+        out.extend(
+            self.scheduled
+                .iter()
+                .map(|&(txn, exec_at)| Event::Scheduled { t, txn, exec_at }),
+        );
+        out.extend(self.committed.iter().filter_map(|&txn| {
+            let node = home(txn)?;
+            Some(Event::Committed { t, txn, node })
+        }));
+        out.extend(self.departed.iter().map(|d| Event::Departed {
+            t,
+            object: d.object,
+            from: d.from,
+            to: d.to,
+            arrive: d.arrive,
+        }));
+    }
+
     /// Net change in in-flight objects per canonical undirected edge:
     /// `+1` for each departure onto the edge, `-1` for each delivery
     /// completing it. Summing these over consecutive steps reproduces
@@ -165,7 +218,10 @@ mod tests {
         let mut fx = StepEffects::default();
         assert!(fx.is_empty());
         fx.t = 3;
-        fx.created.push(ObjectId(0));
+        fx.created.push(Creation {
+            object: ObjectId(0),
+            node: NodeId(1),
+        });
         fx.scheduled.push((TxnId(0), 5));
         fx.committed.push(TxnId(1));
         fx.aborted.push(TxnId(2));
@@ -230,5 +286,85 @@ mod tests {
         let loads = fx.edge_loads();
         assert_eq!(loads.len(), 1);
         assert_eq!(loads[&(NodeId(3), NodeId(4))], 1);
+    }
+
+    #[test]
+    fn push_events_follows_phase_order_and_skips_unplaced_txns() {
+        let fx = StepEffects {
+            t: 4,
+            created: vec![Creation {
+                object: ObjectId(0),
+                node: NodeId(2),
+            }],
+            arrived: vec![TxnId(1), TxnId(9)],
+            scheduled: vec![(TxnId(1), 6)],
+            committed: vec![TxnId(9)],
+            departed: vec![Departure {
+                object: ObjectId(0),
+                from: NodeId(2),
+                to: NodeId(3),
+                arrive: 5,
+            }],
+            ..StepEffects::default()
+        };
+        let mut events = Vec::new();
+        fx.push_events(|txn| (txn == TxnId(1)).then_some(NodeId(3)), &mut events);
+        assert_eq!(
+            events,
+            vec![
+                Event::ObjectCreated {
+                    t: 4,
+                    object: ObjectId(0),
+                    node: NodeId(2)
+                },
+                Event::Generated {
+                    t: 4,
+                    txn: TxnId(1),
+                    node: NodeId(3)
+                },
+                Event::Scheduled {
+                    t: 4,
+                    txn: TxnId(1),
+                    exec_at: 6
+                },
+                Event::Departed {
+                    t: 4,
+                    object: ObjectId(0),
+                    from: NodeId(2),
+                    to: NodeId(3),
+                    arrive: 5
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn serde_roundtrip() {
+        let fx = StepEffects {
+            t: 7,
+            created: vec![Creation {
+                object: ObjectId(1),
+                node: NodeId(0),
+            }],
+            delivered: vec![Delivery {
+                object: ObjectId(2),
+                from: NodeId(1),
+                node: NodeId(0),
+            }],
+            arrived: vec![TxnId(3)],
+            scheduled: vec![(TxnId(3), 9)],
+            committed: vec![TxnId(4)],
+            aborted: vec![TxnId(5)],
+            departed: vec![Departure {
+                object: ObjectId(1),
+                from: NodeId(0),
+                to: NodeId(1),
+                arrive: 8,
+            }],
+            live_after: 2,
+        };
+        let text = serde_json::to_string(&fx).unwrap();
+        let back: StepEffects = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, fx);
     }
 }

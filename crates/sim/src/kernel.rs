@@ -44,7 +44,7 @@
 //! are purely observational); re-attach with [`StepKernel::with_observer`].
 
 use crate::arena::RuntimeState;
-use crate::effects::{edge_key, Delivery, Departure, StepEffects};
+use crate::effects::{edge_key, Creation, Delivery, Departure, StepEffects};
 use crate::engine::{EngineConfig, Retention};
 use crate::metrics::{Log2Histogram, Metrics, RunResult, Violation};
 use crate::observer::{Phase, StepObserver};
@@ -596,7 +596,10 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                 place: ObjectPlace::At(info.origin),
                 last_holder: None,
             });
-            self.effects.created.push(info.id);
+            self.effects.created.push(Creation {
+                object: info.id,
+                node: info.origin,
+            });
         }
     }
 
@@ -950,7 +953,13 @@ mod tests {
         // object departs toward node 2.
         let fx = k.tick().expect("step 0 runs");
         assert_eq!(fx.t, 0);
-        assert_eq!(fx.created, vec![ObjectId(0)]);
+        assert_eq!(
+            fx.created,
+            vec![Creation {
+                object: ObjectId(0),
+                node: NodeId(0)
+            }]
+        );
         assert_eq!(fx.arrived, vec![TxnId(0), TxnId(1)]);
         assert_eq!(fx.scheduled, vec![(TxnId(0), 2), (TxnId(1), 3)]);
         assert!(fx.committed.is_empty());

@@ -51,7 +51,7 @@ pub mod validate;
 
 pub use arena::{IdWindow, ObjectArena, RuntimeState, TxnArena};
 pub use column::{IdColumn, IdEntry};
-pub use effects::{Delivery, Departure, StepEffects};
+pub use effects::{Creation, Delivery, Departure, StepEffects};
 pub use engine::{run_policy, Engine, EngineConfig, Retention};
 pub use events::Event;
 pub use gantt::{render_timeline, TimelineOptions};

@@ -261,7 +261,7 @@ pub fn percentile(sorted: &[Time], p: f64) -> Time {
 }
 
 /// Aggregate metrics of one run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Time of the last commit (total execution time / makespan).
     pub makespan: Time,

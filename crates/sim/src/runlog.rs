@@ -35,15 +35,14 @@ impl RunLog {
 
     /// Fold one tick: its record `fx`, the state at step end, and the
     /// bodies of the transactions it `retired` (moved into the log).
-    /// Events come out in phase order, each list in the order its phase
-    /// processed it — the order the phases themselves ran in.
+    /// Events are [`StepEffects::push_events`] with homes read from the
+    /// live set and the retired bodies.
     pub(crate) fn fold(
         &mut self,
         fx: &StepEffects,
         state: &RuntimeState,
         retired: &mut Vec<Transaction>,
     ) {
-        let t = fx.t;
         if let Some(events) = &mut self.events {
             // A transaction generated and retired in this same tick is no
             // longer live; its body is in the tick's retired buffer.
@@ -51,39 +50,11 @@ impl RunLog {
                 Some(lt) => Some(lt.txn.home),
                 None => retired.iter().find(|tx| tx.id == txn).map(|tx| tx.home),
             };
-            events.extend(fx.created.iter().filter_map(|&object| {
-                let node = state.objects().get(object)?.info.origin;
-                Some(Event::ObjectCreated { t, object, node })
-            }));
-            events.extend(fx.delivered.iter().map(|d| Event::Arrived {
-                t,
-                object: d.object,
-                node: d.node,
-            }));
-            events.extend(fx.arrived.iter().filter_map(|&txn| {
-                let node = home(txn)?;
-                Some(Event::Generated { t, txn, node })
-            }));
-            events.extend(fx.scheduled.iter().map(|&(txn, exec_at)| Event::Scheduled {
-                t,
-                txn,
-                exec_at,
-            }));
-            events.extend(fx.committed.iter().filter_map(|&txn| {
-                let node = home(txn)?;
-                Some(Event::Committed { t, txn, node })
-            }));
-            events.extend(fx.departed.iter().map(|d| Event::Departed {
-                t,
-                object: d.object,
-                from: d.from,
-                to: d.to,
-                arrive: d.arrive,
-            }));
+            fx.push_events(home, events);
         }
         self.scheduled.extend_from_slice(&fx.scheduled);
         self.committed
-            .extend(fx.committed.iter().map(|&txn| (txn, t)));
+            .extend(fx.committed.iter().map(|&txn| (txn, fx.t)));
         self.retired.append(retired);
     }
 

@@ -1,27 +1,33 @@
 //! Flight recorder: a bounded black box for long open-system runs.
 //!
 //! [`FlightRecorder`] is a [`StepObserver`] that retains the most recent
-//! K steps of compact per-step records — condensed [`StepEffects`]
-//! counts, the live-set gauge, and sampled per-phase wall-clock timings —
-//! in a preallocated ring buffer. Memory is O(K) however long the run
-//! streams, and a warmed-up step writes into existing ring slots without
-//! touching the allocator (pinned, together with the kernel's own
-//! zero-alloc idle ticks, by `tests/alloc_steady_state.rs`).
+//! K steps whole — every list of each step's [`StepEffects`], so a dump
+//! says which transaction waited on which object — plus sampled
+//! per-phase wall-clock timings of those steps. The lists of all retained
+//! steps share one flat deque of entries that is reused: the oldest step
+//! is evicted whole once K are held, so storage grows to its high-water
+//! mark, O(K × peak items per step), and then stops allocating (pinned,
+//! together with the kernel's own zero-alloc idle ticks, by
+//! `tests/alloc_steady_state.rs`). A step is recorded from
+//! [`StepObserver::on_step_end`] alone.
 //!
-//! When a 10⁶-step run dies at step 742k, [`FlightRecorder::dump`]
-//! serializes the window leading up to the failure as deterministic
-//! JSONL — a `flight_meta` header, one `flight_step` line per retained
-//! step, the tail of the policy's decision trace (`flight_decision`
-//! lines, when a [`DecisionTraceHandle`] is attached), and optionally
-//! the `health_event` lines a [`crate::HealthMonitor`] appends when it
-//! auto-dumps on its first alarm. [`validate_flight_dump`] checks the
-//! schema; the `flight_report` binary in `dtm-bench` renders it.
+//! [`FlightRecorder::trace`] cuts the window into a [`RunTrace`], and
+//! [`FlightRecorder::dump`] writes it in the one run-record vocabulary
+//! (see [`crate::trace`]): a `meta` line, one `step` line per retained
+//! step, `phase` lines for its sampled timings, and the tail of the
+//! policy's decision trace when a [`DecisionTraceHandle`] is attached. A
+//! [`crate::HealthMonitor`] auto-dump adds `health` lines through the
+//! same writer. A recorder built with `usize::MAX` keeps every step:
+//! completed by [`RunTrace::with_run`], that is a full trace. The
+//! `trace_report` binary in `dtm-bench` renders either.
 
 use crate::decision::DecisionTraceHandle;
-use dtm_model::Time;
-use dtm_sim::{Phase, StepEffects, StepObserver, SystemView};
+use crate::trace::{PhaseSpan, RunTrace};
+use dtm_graph::NodeId;
+use dtm_model::{ObjectId, Time, TxnId};
+use dtm_sim::{Creation, Delivery, Departure, Phase, StepEffects, StepObserver, SystemView};
 use parking_lot::Mutex;
-use serde::{Serialize, Value};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,51 +46,46 @@ pub const DEFAULT_DECISION_TAIL: usize = 32;
 /// long run still times thousands of steps at this cadence.
 pub const DEFAULT_FLIGHT_TIMING_SAMPLE: u64 = 1024;
 
-/// One step's condensed record: everything the tick changed, as counts,
-/// plus per-phase item totals and (sampled) wall-clock nanoseconds.
-/// Fixed-size and `Copy`, so ring writes never touch the heap.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlightRecord {
-    /// The step this record describes.
-    pub t: Time,
-    /// Objects created this step.
-    pub created: u32,
-    /// Objects completing an edge traversal this step.
-    pub delivered: u32,
-    /// Transactions generated this step.
-    pub arrived: u32,
-    /// Transactions assigned an execution time this step.
-    pub scheduled: u32,
-    /// Transactions committed this step.
-    pub committed: u32,
-    /// Transactions aborted this step.
-    pub aborted: u32,
-    /// Objects departing on an edge this step.
-    pub departed: u32,
-    /// Live-set size after the step.
-    pub live_after: u64,
-    /// Whether wall-clock phase timing was sampled on this step.
-    pub timed: bool,
-    /// Per-phase item counts, indexed by [`Phase::index`], derived from
-    /// the step's effects (delivered / arrived / scheduled / committed /
-    /// departed) — the recorder skips the per-phase callbacks entirely
-    /// on unsampled steps.
-    pub phase_items: [u32; 5],
-    /// Per-phase wall-clock nanoseconds (zero on unsampled steps).
-    pub phase_nanos: [u64; 5],
+/// One entry of the recorder's flat storage, 24 bytes. A retained step
+/// is the run of entries that ends with its `End`; its phase spans take
+/// their `t` from that `End`.
+#[derive(Clone, Copy, Debug)]
+enum Item {
+    Created(Creation),
+    Delivered(Delivery),
+    Arrived(TxnId),
+    Scheduled(TxnId, Time),
+    Committed(TxnId),
+    Aborted(TxnId),
+    Departed {
+        object: ObjectId,
+        from: NodeId,
+        to: NodeId,
+        arrive: Time,
+    },
+    Phase {
+        phase: Phase,
+        items: u64,
+        nanos: u64,
+    },
+    End {
+        t: Time,
+        live_after: usize,
+    },
 }
 
-/// A [`StepObserver`] retaining the last K steps in O(K) memory. See the
-/// module docs.
+/// A [`StepObserver`] retaining the last K steps whole. See the module
+/// docs.
 pub struct FlightRecorder {
     k: usize,
-    ring: Vec<FlightRecord>,
-    /// Next ring slot to write (oldest record once the ring is full).
-    next: usize,
+    /// The retained steps' entries, oldest first.
+    items: VecDeque<Item>,
+    /// Entry count of each retained step, oldest first (at most `k`).
+    steps: VecDeque<usize>,
+    /// Entries of the retained steps; any beyond belong to the step in
+    /// flight (its phase spans).
+    closed: usize,
     steps_seen: u64,
-    /// Accumulator for the step currently in flight (phases arrive
-    /// before the end-of-step effects).
-    pending: FlightRecord,
     /// Sample wall-clock timing every this many steps (0 = never).
     timing_sample: u64,
     decisions: Option<DecisionTraceHandle>,
@@ -92,16 +93,16 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Recorder retaining the last `k` steps (`k` is clamped to ≥ 1).
-    /// The ring is preallocated here; recording never grows it.
+    /// Recorder retaining the last `k` steps (`k` is clamped to ≥ 1;
+    /// `usize::MAX` keeps every step). Storage grows with the window up
+    /// to its high-water mark and is reused from then on.
     pub fn new(k: usize) -> Self {
-        let k = k.max(1);
         FlightRecorder {
-            k,
-            ring: Vec::with_capacity(k),
-            next: 0,
+            k: k.max(1),
+            items: VecDeque::new(),
+            steps: VecDeque::new(),
+            closed: 0,
             steps_seen: 0,
-            pending: FlightRecord::default(),
             timing_sample: DEFAULT_FLIGHT_TIMING_SAMPLE,
             decisions: None,
             decision_tail: DEFAULT_DECISION_TAIL,
@@ -115,8 +116,8 @@ impl FlightRecorder {
         self
     }
 
-    /// Include the last `tail` entries of `handle` as `flight_decision`
-    /// lines in every dump. Pair this with a bounded trace
+    /// Include the last `tail` entries of `handle` as `decision` lines in
+    /// every dump. Pair this with a bounded trace
     /// ([`crate::DecisionTrace::bounded`]) on long runs so the handle
     /// itself stays O(tail).
     pub fn with_decisions(mut self, handle: DecisionTraceHandle, tail: usize) -> Self {
@@ -135,14 +136,14 @@ impl FlightRecorder {
         self.timing_sample
     }
 
-    /// Records currently retained (≤ K).
+    /// Steps currently retained (≤ K).
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.steps.len()
     }
 
     /// True before the first completed step.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.steps.is_empty()
     }
 
     /// Total steps observed over the recorder's lifetime.
@@ -150,128 +151,142 @@ impl FlightRecorder {
         self.steps_seen
     }
 
-    /// Retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &FlightRecord> {
-        let split = if self.ring.len() < self.k {
-            0
-        } else {
-            self.next
+    /// The retained window as a record: its steps oldest first, their
+    /// sampled phase spans, and the decision tail.
+    pub fn trace(&self) -> RunTrace {
+        let mut trace = RunTrace {
+            k: self.k as u64,
+            steps_seen: self.steps_seen,
+            ..RunTrace::default()
         };
-        self.ring[split..].iter().chain(self.ring[..split].iter())
-    }
-
-    fn record_to_value(r: &FlightRecord) -> Value {
-        Value::Object(vec![
-            ("t".into(), r.t.to_value()),
-            ("created".into(), r.created.to_value()),
-            ("delivered".into(), r.delivered.to_value()),
-            ("arrived".into(), r.arrived.to_value()),
-            ("scheduled".into(), r.scheduled.to_value()),
-            ("committed".into(), r.committed.to_value()),
-            ("aborted".into(), r.aborted.to_value()),
-            ("departed".into(), r.departed.to_value()),
-            ("live_after".into(), r.live_after.to_value()),
-            ("timed".into(), Value::Bool(r.timed)),
-            ("items".into(), r.phase_items.to_value()),
-            ("nanos".into(), r.phase_nanos.to_value()),
-        ])
-    }
-
-    /// Serialize the retained window as deterministic JSONL: one
-    /// `flight_meta` header, one `flight_step` line per record (oldest
-    /// first), then up to `decision_tail` trailing `flight_decision`
-    /// lines. The output for a given recorder state is byte-identical
-    /// across runs and platforms.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        let first_t = self.records().next().map(|r| r.t).unwrap_or(0);
-        let last_t = self.records().last().map(|r| r.t).unwrap_or(0);
-        let meta = Value::Object(vec![
-            ("version".into(), 1u64.to_value()),
-            ("k".into(), (self.k as u64).to_value()),
-            ("steps_seen".into(), self.steps_seen.to_value()),
-            ("records".into(), (self.ring.len() as u64).to_value()),
-            ("first_t".into(), first_t.to_value()),
-            ("last_t".into(), last_t.to_value()),
-            ("timing_sample".into(), self.timing_sample.to_value()),
-            (
-                "decision_tail".into(),
-                (self.decision_tail as u64).to_value(),
-            ),
-        ]);
-        push_line(&mut out, "flight_meta", meta);
-        for r in self.records() {
-            push_line(&mut out, "flight_step", Self::record_to_value(r));
-        }
-        if let Some(handle) = &self.decisions {
-            let trace = handle.lock();
-            let skip = trace.decisions.len().saturating_sub(self.decision_tail);
-            for d in &trace.decisions[skip..] {
-                push_line(&mut out, "flight_decision", d.to_value());
+        let mut fx = StepEffects::default();
+        // Spans of the step being rebuilt start here in `trace.phases`.
+        let mut spans = 0;
+        for item in &self.items {
+            match *item {
+                Item::Created(c) => fx.created.push(c),
+                Item::Delivered(d) => fx.delivered.push(d),
+                Item::Arrived(txn) => fx.arrived.push(txn),
+                Item::Scheduled(txn, at) => fx.scheduled.push((txn, at)),
+                Item::Committed(txn) => fx.committed.push(txn),
+                Item::Aborted(txn) => fx.aborted.push(txn),
+                Item::Departed {
+                    object,
+                    from,
+                    to,
+                    arrive,
+                } => fx.departed.push(Departure {
+                    object,
+                    from,
+                    to,
+                    arrive,
+                }),
+                Item::Phase {
+                    phase,
+                    items,
+                    nanos,
+                } => trace.phases.push(PhaseSpan {
+                    t: 0,
+                    phase,
+                    items,
+                    nanos,
+                }),
+                Item::End { t, live_after } => {
+                    fx.t = t;
+                    fx.live_after = live_after;
+                    trace.steps.push(std::mem::take(&mut fx));
+                    trace.phases[spans..].iter_mut().for_each(|p| p.t = t);
+                    spans = trace.phases.len();
+                }
             }
         }
-        out
+        // Spans of a step still in flight belong to no retained step.
+        trace.phases.truncate(spans);
+        if let Some(handle) = &self.decisions {
+            let decisions = &handle.lock().decisions;
+            let skip = decisions.len().saturating_sub(self.decision_tail);
+            trace.decisions = decisions[skip..].to_vec();
+        }
+        trace
     }
-}
 
-/// Append one typed JSONL line (the same `{"type":...,"data":...}` shape
-/// as [`crate::RunTrace::to_jsonl`]).
-pub(crate) fn push_line(out: &mut String, kind: &str, data: Value) {
-    let obj = Value::Object(vec![
-        ("type".into(), Value::Str(kind.to_string())),
-        ("data".into(), data),
-    ]);
-    out.push_str(&serde_json::to_string(&obj).expect("flight line serializes"));
-    out.push('\n');
+    /// The retained window as deterministic JSONL ([`RunTrace::to_jsonl`]
+    /// of [`FlightRecorder::trace`]). Apart from the sampled wall-clock
+    /// `nanos` of its `phase` lines, the output for a given recorder
+    /// state is byte-identical across runs and platforms.
+    pub fn dump(&self) -> String {
+        self.trace().to_jsonl()
+    }
+
+    fn sampled(&self, t: Time) -> bool {
+        self.timing_sample != 0 && t.is_multiple_of(self.timing_sample)
+    }
 }
 
 impl StepObserver for FlightRecorder {
-    fn on_phase(&mut self, _t: Time, phase: Phase, _items: usize, elapsed: Duration) {
-        // Only the wall-clock nanos come from the phase callbacks; the
-        // item counts are reconstructed from the effects at step end, so
-        // the recorder declines phases entirely on unsampled steps.
-        let i = phase.index();
-        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.pending.phase_nanos[i] = self.pending.phase_nanos[i].saturating_add(nanos);
-        if nanos > 0 {
-            self.pending.timed = true;
+    fn on_phase(&mut self, t: Time, phase: Phase, items: usize, elapsed: Duration) {
+        // Phases arrive before their step ends, so the span lands just
+        // ahead of the step's own entries.
+        if self.sampled(t) {
+            self.items.push_back(Item::Phase {
+                phase,
+                items: items as u64,
+                nanos: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+            });
         }
     }
 
     fn wants_timing(&self, t: Time) -> bool {
-        self.timing_sample != 0 && t.is_multiple_of(self.timing_sample)
+        self.sampled(t)
     }
 
     fn wants_phases(&self, t: Time) -> bool {
         // Phases matter only for their timings, sampled like wants_timing.
-        self.timing_sample != 0 && t.is_multiple_of(self.timing_sample)
+        self.sampled(t)
     }
 
-    fn on_step_end(&mut self, effects: &StepEffects) {
-        let mut rec = self.pending;
-        self.pending = FlightRecord::default();
-        rec.t = effects.t;
-        rec.created = effects.created.len() as u32;
-        rec.delivered = effects.delivered.len() as u32;
-        rec.arrived = effects.arrived.len() as u32;
-        rec.scheduled = effects.scheduled.len() as u32;
-        rec.committed = effects.committed.len() as u32;
-        rec.aborted = effects.aborted.len() as u32;
-        rec.departed = effects.departed.len() as u32;
-        rec.live_after = effects.live_after as u64;
-        rec.phase_items = [
-            rec.delivered,
-            rec.arrived,
-            rec.scheduled,
-            rec.committed,
-            rec.departed,
-        ];
-        if self.ring.len() < self.k {
-            self.ring.push(rec);
-        } else {
-            self.ring[self.next] = rec;
+    fn on_step_end(&mut self, fx: &StepEffects) {
+        if self.steps.len() == self.k {
+            // Evict the oldest step whole.
+            let n = self.steps.pop_front().expect("k ≥ 1 steps held");
+            self.items.drain(..n);
+            self.closed -= n;
         }
-        self.next = (self.next + 1) % self.k;
+        // Per-item pushes: most lists hold zero to two items, where a
+        // loop beats `extend`'s per-call reserve.
+        let items = &mut self.items;
+        for &c in &fx.created {
+            items.push_back(Item::Created(c));
+        }
+        for &d in &fx.delivered {
+            items.push_back(Item::Delivered(d));
+        }
+        for &txn in &fx.arrived {
+            items.push_back(Item::Arrived(txn));
+        }
+        for &(txn, at) in &fx.scheduled {
+            items.push_back(Item::Scheduled(txn, at));
+        }
+        for &txn in &fx.committed {
+            items.push_back(Item::Committed(txn));
+        }
+        for &txn in &fx.aborted {
+            items.push_back(Item::Aborted(txn));
+        }
+        for d in &fx.departed {
+            items.push_back(Item::Departed {
+                object: d.object,
+                from: d.from,
+                to: d.to,
+                arrive: d.arrive,
+            });
+        }
+        items.push_back(Item::End {
+            t: fx.t,
+            live_after: fx.live_after,
+        });
+        self.steps.push_back(items.len() - self.closed);
+        self.closed = items.len();
         self.steps_seen += 1;
     }
 }
@@ -344,167 +359,9 @@ impl StepObserver for ObservabilityStack {
     }
 }
 
-/// What a validated flight dump contains.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FlightDumpSummary {
-    /// Ring capacity the recorder ran with.
-    pub k: u64,
-    /// Total steps the recorder observed.
-    pub steps_seen: u64,
-    /// `flight_step` lines in the dump.
-    pub records: usize,
-    /// First retained step.
-    pub first_t: Time,
-    /// Last retained step.
-    pub last_t: Time,
-    /// Trailing `flight_decision` lines.
-    pub decisions: usize,
-    /// Appended `health_event` lines (present in auto-dumps).
-    pub health_events: usize,
-}
-
-fn req_u64(data: &Value, key: &str, line: usize) -> Result<u64, String> {
-    data.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("line {line}: missing or non-integer field {key:?}"))
-}
-
-/// Validate a JSONL flight dump produced by [`FlightRecorder::dump`]
-/// (possibly with `health_event` lines appended by a
-/// [`crate::HealthMonitor`] auto-dump). Checks the header, the
-/// step-record schema (strictly increasing `t`, 5-element phase arrays),
-/// section ordering, and record-count consistency. Returns a summary on
-/// success; any structural problem is an `Err` with the offending line.
-pub fn validate_flight_dump(text: &str) -> Result<FlightDumpSummary, String> {
-    let mut summary = FlightDumpSummary::default();
-    // Sections must appear in dump order: meta, steps, decisions, events.
-    let mut section = 0usize;
-    let mut last_t: Option<Time> = None;
-    let mut saw_meta = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = idx + 1;
-        let raw = raw.trim();
-        if raw.is_empty() {
-            continue;
-        }
-        let v: Value = serde_json::from_str(raw).map_err(|e| format!("line {line}: {e}"))?;
-        let kind = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {line}: no \"type\" field"))?;
-        let data = v
-            .get("data")
-            .ok_or_else(|| format!("line {line}: no \"data\" field"))?;
-        let rank = match kind {
-            "flight_meta" => 0,
-            "flight_step" => 1,
-            "flight_decision" => 2,
-            "health_event" => 3,
-            other => return Err(format!("line {line}: unknown line type {other:?}")),
-        };
-        if rank < section {
-            return Err(format!("line {line}: {kind} line out of section order"));
-        }
-        section = rank;
-        match kind {
-            "flight_meta" => {
-                if saw_meta {
-                    return Err(format!("line {line}: duplicate flight_meta"));
-                }
-                saw_meta = true;
-                summary.k = req_u64(data, "k", line)?;
-                summary.steps_seen = req_u64(data, "steps_seen", line)?;
-                summary.first_t = req_u64(data, "first_t", line)?;
-                summary.last_t = req_u64(data, "last_t", line)?;
-                let records = req_u64(data, "records", line)?;
-                if records > summary.k {
-                    return Err(format!("line {line}: records {records} > k {}", summary.k));
-                }
-                if records > summary.steps_seen {
-                    return Err(format!(
-                        "line {line}: records {records} > steps_seen {}",
-                        summary.steps_seen
-                    ));
-                }
-            }
-            "flight_step" => {
-                if !saw_meta {
-                    return Err(format!("line {line}: flight_step before flight_meta"));
-                }
-                let t = req_u64(data, "t", line)?;
-                if let Some(prev) = last_t {
-                    if t <= prev {
-                        return Err(format!("line {line}: step t {t} not after {prev}"));
-                    }
-                }
-                last_t = Some(t);
-                for key in [
-                    "created",
-                    "delivered",
-                    "arrived",
-                    "scheduled",
-                    "committed",
-                    "aborted",
-                    "departed",
-                    "live_after",
-                ] {
-                    req_u64(data, key, line)?;
-                }
-                if !matches!(data.get("timed"), Some(Value::Bool(_))) {
-                    return Err(format!("line {line}: missing boolean field \"timed\""));
-                }
-                for key in ["items", "nanos"] {
-                    let arr = data
-                        .get(key)
-                        .and_then(Value::as_array)
-                        .ok_or_else(|| format!("line {line}: missing array field {key:?}"))?;
-                    if arr.len() != Phase::ALL.len() {
-                        return Err(format!(
-                            "line {line}: {key:?} has {} entries, expected {}",
-                            arr.len(),
-                            Phase::ALL.len()
-                        ));
-                    }
-                    if arr.iter().any(|e| e.as_u64().is_none()) {
-                        return Err(format!("line {line}: non-integer entry in {key:?}"));
-                    }
-                }
-                summary.records += 1;
-            }
-            "flight_decision" => {
-                req_u64(data, "t", line)?;
-                if data.get("txn").is_none() || data.get("kind").is_none() {
-                    return Err(format!("line {line}: decision missing txn/kind"));
-                }
-                summary.decisions += 1;
-            }
-            "health_event" => {
-                req_u64(data, "t", line)?;
-                if data.get("kind").is_none() {
-                    return Err(format!("line {line}: health event missing kind"));
-                }
-                summary.health_events += 1;
-            }
-            _ => unreachable!("kind matched above"),
-        }
-    }
-    if !saw_meta {
-        return Err("dump has no flight_meta line (empty or truncated input)".to_string());
-    }
-    let expected = summary.k.min(summary.steps_seen) as usize;
-    if summary.records != expected {
-        return Err(format!(
-            "dump holds {} flight_step lines, meta promises {expected}",
-            summary.records
-        ));
-    }
-    Ok(summary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtm_model::TxnId;
 
     fn fx(t: Time, arrived: usize, committed: usize, live: usize) -> StepEffects {
         let mut e = StepEffects {
@@ -525,34 +382,71 @@ mod tests {
     fn ring_retains_last_k_steps_in_order() {
         let mut rec = FlightRecorder::new(4).with_timing_sample(0);
         for t in 0..10u64 {
-            rec.on_step_end(&fx(t, 1, 0, t as usize));
+            let mut e = fx(t, 1, 0, t as usize);
+            e.departed.push(Departure {
+                object: ObjectId(t as u32),
+                from: NodeId(0),
+                to: NodeId(1),
+                arrive: t + 1,
+            });
+            rec.on_step_end(&e);
         }
         assert_eq!(rec.capacity(), 4);
         assert_eq!(rec.len(), 4);
         assert_eq!(rec.steps_seen(), 10);
-        let ts: Vec<Time> = rec.records().map(|r| r.t).collect();
+        let trace = rec.trace();
+        let ts: Vec<Time> = trace.steps.iter().map(|s| s.t).collect();
         assert_eq!(ts, vec![6, 7, 8, 9]);
-        let last = rec.records().last().expect("nonempty");
-        assert_eq!(last.arrived, 1);
+        // Steps come back whole: every list, not just its length.
+        let last = trace.steps.last().expect("nonempty");
+        assert_eq!(last.arrived, vec![TxnId(0)]);
+        assert_eq!(last.departed[0].object, ObjectId(9));
         assert_eq!(last.live_after, 9);
-        // Items are derived from the effects: one generate-phase item.
-        assert_eq!(last.phase_items[Phase::Generate.index()], 1);
-        assert_eq!(last.phase_items[Phase::Schedule.index()], 0);
-        assert!(!last.timed);
+        assert!(trace.phases.is_empty());
+        assert_eq!((trace.k, trace.steps_seen), (4, 10));
     }
 
     #[test]
     fn pending_phase_nanos_reset_each_step() {
-        let mut rec = FlightRecorder::new(8);
-        rec.on_phase(0, Phase::Receive, 5, Duration::from_nanos(7));
-        rec.on_step_end(&fx(0, 0, 0, 0));
-        rec.on_phase(1, Phase::Receive, 2, Duration::ZERO);
-        rec.on_step_end(&fx(1, 0, 0, 0));
-        let records: Vec<&FlightRecord> = rec.records().collect();
-        assert_eq!(records[0].phase_nanos[0], 7);
-        assert!(records[0].timed);
-        assert_eq!(records[1].phase_nanos[0], 0);
-        assert!(!records[1].timed);
+        let mut rec = FlightRecorder::new(8).with_timing_sample(2);
+        for t in 0..4u64 {
+            if rec.wants_phases(t) {
+                rec.on_phase(t, Phase::Receive, 5, Duration::from_nanos(7 + t));
+            }
+            rec.on_step_end(&fx(t, 0, 0, 0));
+        }
+        // An unsampled call leaves no span either.
+        rec.on_phase(5, Phase::Receive, 1, Duration::from_nanos(3));
+        rec.on_step_end(&fx(5, 0, 0, 0));
+        let spans = rec.trace().phases;
+        let got: Vec<(Time, u64, u64)> = spans.iter().map(|p| (p.t, p.items, p.nanos)).collect();
+        assert_eq!(got, vec![(0, 5, 7), (2, 5, 9)]);
+    }
+
+    /// Sampled spans are kept for retained steps only: evicting a step
+    /// evicts its spans with it.
+    #[test]
+    fn phase_spans_leave_with_their_step() {
+        let mut rec = FlightRecorder::new(2).with_timing_sample(3);
+        for t in 0..5u64 {
+            if rec.wants_phases(t) {
+                for phase in Phase::ALL {
+                    rec.on_phase(t, phase, 1, Duration::from_nanos(1));
+                }
+            }
+            rec.on_step_end(&fx(t, 0, 0, 0));
+        }
+        // A dump taken mid-step (another observer's step end runs first)
+        // leaves out the spans of the step in flight.
+        rec.on_phase(6, Phase::Receive, 1, Duration::from_nanos(1));
+        let trace = rec.trace();
+        assert_eq!(
+            trace.steps.iter().map(|s| s.t).collect::<Vec<_>>(),
+            vec![3, 4]
+        );
+        assert_eq!(trace.phases.len(), 5);
+        assert!(trace.phases.iter().all(|p| p.t == 3));
+        assert_eq!(RunTrace::from_jsonl(&trace.to_jsonl()), Ok(trace));
     }
 
     #[test]
@@ -584,14 +478,15 @@ mod tests {
             rec.on_step_end(&fx(t, 1, 1, 2));
         }
         let dump = rec.dump();
-        let s = validate_flight_dump(&dump).expect("dump validates");
-        assert_eq!(s.k, 3);
-        assert_eq!(s.steps_seen, 7);
-        assert_eq!(s.records, 3);
-        assert_eq!(s.first_t, 4);
-        assert_eq!(s.last_t, 6);
-        assert_eq!(s.decisions, 2, "only the tail is dumped");
-        assert_eq!(s.health_events, 0);
+        let back = RunTrace::from_jsonl(&dump).expect("dump validates");
+        assert_eq!(back, rec.trace());
+        assert_eq!((back.k, back.steps_seen), (3, 7));
+        assert_eq!(back.steps.len(), 3);
+        assert_eq!(back.steps[0].t, 4);
+        assert_eq!(back.steps[2].t, 6);
+        assert_eq!(back.decisions.len(), 2, "only the tail is dumped");
+        assert_eq!(back.decisions[0].t, 3);
+        assert!(back.health.is_empty() && back.metrics.is_none());
         // Deterministic: two dumps of the same state are byte-identical.
         assert_eq!(dump, rec.dump());
     }
@@ -602,37 +497,43 @@ mod tests {
         rec.on_step_end(&fx(0, 0, 0, 0));
         rec.on_step_end(&fx(1, 0, 0, 0));
         let good = rec.dump();
-        assert!(validate_flight_dump(&good).is_ok());
+        assert!(RunTrace::from_jsonl(&good).is_ok());
 
         // Empty input.
-        assert!(validate_flight_dump("").is_err());
+        assert!(RunTrace::from_jsonl("").is_err());
         // Truncated mid-line.
         let cut = &good[..good.len() - 10];
-        assert!(validate_flight_dump(cut).is_err());
+        assert!(RunTrace::from_jsonl(cut).is_err());
         // Missing meta (drop the first line).
         let body: String = good.lines().skip(1).map(|l| format!("{l}\n")).collect();
-        assert!(validate_flight_dump(&body).is_err());
+        assert!(RunTrace::from_jsonl(&body).is_err());
         // Non-JSON garbage.
-        assert!(validate_flight_dump("not json\n").is_err());
+        assert!(RunTrace::from_jsonl("not json\n").is_err());
         // Out-of-order steps.
         let mut lines: Vec<&str> = good.lines().collect();
         lines.swap(1, 2);
         let swapped: String = lines.iter().map(|l| format!("{l}\n")).collect();
-        assert!(validate_flight_dump(&swapped).is_err());
+        assert!(RunTrace::from_jsonl(&swapped).is_err());
+    }
+
+    #[test]
+    fn entries_stay_small() {
+        assert_eq!(std::mem::size_of::<Item>(), 24);
     }
 
     #[test]
     fn ring_never_allocates_once_full() {
         let mut rec = FlightRecorder::new(16);
         for t in 0..16u64 {
-            rec.on_step_end(&fx(t, 0, 0, 0));
+            rec.on_step_end(&fx(t, 2, 2, 3));
         }
-        let cap_before = rec.ring.capacity();
+        let caps = (rec.items.capacity(), rec.steps.capacity());
         for t in 16..10_000u64 {
             rec.on_step_end(&fx(t, 2, 2, 3));
         }
-        assert_eq!(rec.ring.capacity(), cap_before);
+        assert_eq!((rec.items.capacity(), rec.steps.capacity()), caps);
         assert_eq!(rec.len(), 16);
+        assert_eq!(rec.items.len(), 16 * 5, "K steps of 4 items and an end");
         assert_eq!(rec.steps_seen(), 10_000);
     }
 
@@ -641,8 +542,8 @@ mod tests {
     /// view (through `on_step_end` alone the monitor cannot see it).
     #[test]
     fn stack_forwards_the_view_to_the_monitor() {
-        use dtm_graph::{topology, NodeId};
-        use dtm_model::{ObjectId, Transaction};
+        use dtm_graph::topology;
+        use dtm_model::Transaction;
         use dtm_sim::{LiveTxn, RuntimeState};
         let net = topology::line(2);
         let mut state = RuntimeState::new();

@@ -31,15 +31,16 @@
 //! overflow counted), detector state is O(1) beyond the preallocated
 //! slope window, and idle steps allocate nothing — the monitor can ride
 //! a 10⁶-step run. When a [`FlightRecorderHandle`] is attached, the
-//! monitor **auto-dumps** the recorder on its first event, appending the
-//! event as a `health_event` JSONL line — the black box is written at
+//! monitor **auto-dumps** the recorder on its first event: the recorder's
+//! window with the event as a `health` line, written by the one run-record
+//! writer ([`crate::RunTrace::to_jsonl`]) — the black box is written at
 //! failure onset, not at process exit.
 //!
 //! Determinism: all detectors are pure functions of the deterministic
 //! step stream and kernel state, so the event sequence for a seeded run
 //! is byte-identical across runs and `--jobs` levels.
 
-use crate::flight::{push_line, FlightRecorderHandle};
+use crate::flight::FlightRecorderHandle;
 use dtm_model::{Time, TxnId};
 use dtm_sim::{StepEffects, StepObserver, SystemView};
 use parking_lot::Mutex;
@@ -230,9 +231,9 @@ impl HealthMonitor {
     }
 
     /// Auto-dump `recorder` to `path` when the first event fires. The
-    /// dump is the recorder's JSONL plus one `health_event` line per
-    /// event retained so far (at first fire: exactly the triggering
-    /// event) — see [`crate::validate_flight_dump`].
+    /// dump is the recorder's window with one `health` line per event
+    /// retained so far (at first fire: exactly the triggering event),
+    /// readable by [`crate::RunTrace::from_jsonl`].
     pub fn with_auto_dump(mut self, recorder: FlightRecorderHandle, path: PathBuf) -> Self {
         self.auto_dump = Some((recorder, path));
         self
@@ -257,16 +258,6 @@ impl HealthMonitor {
     /// or the I/O error (the monitor never panics inside the engine).
     pub fn dump_result(&self) -> Option<&Result<PathBuf, String>> {
         self.dump_result.as_ref()
-    }
-
-    /// Serialize the retained events as `health_event` JSONL lines (the
-    /// same shape the auto-dump appends to the flight dump).
-    pub fn events_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            push_line(&mut out, "health_event", ev.to_value());
-        }
-        out
     }
 
     /// Arena drift: the slot high-water mark may never exceed the peak
@@ -384,12 +375,10 @@ impl HealthMonitor {
         let Some((recorder, path)) = &self.auto_dump else {
             return;
         };
-        let mut text = recorder.lock().dump();
-        for ev in &self.events {
-            push_line(&mut text, "health_event", ev.to_value());
-        }
+        let mut trace = recorder.lock().trace();
+        trace.health = self.events.clone();
         self.dump_result = Some(
-            std::fs::write(path, text)
+            std::fs::write(path, trace.to_jsonl())
                 .map(|_| path.clone())
                 .map_err(|e| format!("flight auto-dump to {} failed: {e}", path.display())),
         );
@@ -787,9 +776,9 @@ mod tests {
             .expect("auto-dump wrote");
         assert_eq!(written, &path);
         let text = std::fs::read_to_string(&path).expect("dump readable");
-        let summary = crate::validate_flight_dump(&text).expect("auto-dump validates");
-        assert_eq!(summary.health_events, 1, "dumped at first event");
-        assert!(summary.records > 0);
+        let dump = crate::RunTrace::from_jsonl(&text).expect("auto-dump validates");
+        assert_eq!(dump.health, m.events()[..1], "dumped at first event");
+        assert!(!dump.steps.is_empty());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -14,14 +14,18 @@
 //!   open-system (streaming) run, which retains no per-transaction
 //!   history to fold afterwards ([`dtm_sim::Retention::Streaming`]); the
 //!   streaming harness writes them from kernel state as the run goes;
-//! * [`RunTrace`] — a structured trace joining the engine's event log,
-//!   the policy's [`DecisionTrace`] and the sink's sampled
-//!   [`PhaseSpan`]s, exportable as JSONL or Chrome `trace_event` JSON
-//!   ([`RunTrace::chrome_trace`], Perfetto-loadable, validated by
-//!   [`validate_chrome_trace`]);
-//! * [`FlightRecorder`] — a bounded ring buffer of per-step records
-//!   (O(K) memory regardless of run length) with a deterministic JSONL
-//!   [`FlightRecorder::dump`] — the black box for long open-system runs;
+//! * [`RunTrace`] — the one run record: a window of the kernel's
+//!   [`dtm_sim::StepEffects`] with the transaction bodies, sampled
+//!   [`PhaseSpan`]s, the policy's [`DecisionTrace`] tail and any
+//!   [`HealthEvent`]s, in one JSONL vocabulary with one validating
+//!   reader ([`RunTrace::from_jsonl`]); the event log, the Chrome
+//!   `trace_event` export ([`RunTrace::chrome_trace`], Perfetto-loadable,
+//!   validated by [`validate_chrome_trace`]) and the slowest-transaction
+//!   table are derived from the steps;
+//! * [`FlightRecorder`] — the last K steps, whole, in reused flat storage
+//!   (O(K × peak items per step) memory regardless of run length); its
+//!   [`FlightRecorder::dump`] is a [`RunTrace`] — the black box for long
+//!   open-system runs, and with K unbounded the source of a full trace;
 //! * [`HealthMonitor`] — typed [`HealthEvent`] watchdogs (overload,
 //!   commit stall, starvation, arena drift) over the step stream and
 //!   the kernel's step-end view, with flight-recorder auto-dump on first
@@ -50,8 +54,8 @@ pub mod trace;
 pub use decision::{decision_trace, Decision, DecisionKind, DecisionTrace, DecisionTraceHandle};
 pub use expose::{prometheus_text, PeriodicExposer};
 pub use flight::{
-    flight_recorder, validate_flight_dump, FlightDumpSummary, FlightRecord, FlightRecorder,
-    FlightRecorderHandle, ObservabilityStack, DEFAULT_FLIGHT_K, DEFAULT_FLIGHT_TIMING_SAMPLE,
+    flight_recorder, FlightRecorder, FlightRecorderHandle, ObservabilityStack, DEFAULT_FLIGHT_K,
+    DEFAULT_FLIGHT_TIMING_SAMPLE,
 };
 pub use health::{
     half_window_slope, health_monitor, HealthConfig, HealthEvent, HealthEventKind, HealthMonitor,
@@ -60,7 +64,8 @@ pub use health::{
 pub use registry::{
     Counter, Gauge, Histogram, HistogramBucket, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use sink::{
-    names, record_run, run_names, steady_names, PhaseSpan, TelemetrySink, DEFAULT_TIMING_SAMPLE,
+pub use sink::{names, record_run, run_names, steady_names, TelemetrySink, DEFAULT_TIMING_SAMPLE};
+pub use trace::{
+    slowest_transactions, validate_chrome_trace, PhaseSpan, RecordError, RecordErrorKind, RunTrace,
+    RECORD_VERSION,
 };
-pub use trace::{slowest_transactions, validate_chrome_trace, RunTrace};

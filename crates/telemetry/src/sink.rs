@@ -1,5 +1,6 @@
 //! Live telemetry sink: a [`StepObserver`] that feeds the metrics
-//! registry and records per-phase spans for trace export.
+//! registry. (Per-phase spans for the run record are the
+//! [`crate::FlightRecorder`]'s.)
 //!
 //! Attach with the shared-handle pattern:
 //!
@@ -29,29 +30,11 @@
 use crate::registry::{Counter, Gauge, Histogram, MetricsRegistry};
 use dtm_model::Time;
 use dtm_sim::{Phase, RunResult, StepEffects, StepObserver};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One observed engine phase at one step (sampled).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhaseSpan {
-    /// Step.
-    pub t: Time,
-    /// Phase.
-    pub phase: Phase,
-    /// Items the phase processed.
-    pub items: u64,
-    /// Wall-clock nanoseconds (0 when the step was not timed).
-    pub nanos: u64,
-}
-
 /// Default timing-sample period: wall-clock phase timing every 64th step.
 pub const DEFAULT_TIMING_SAMPLE: u64 = 64;
-
-/// Default cap on retained [`PhaseSpan`]s (see
-/// [`TelemetrySink::dropped_spans`]).
-pub const DEFAULT_MAX_SPANS: usize = 100_000;
 
 /// Metric names the sink registers (documented for sidecar consumers).
 pub mod names {
@@ -83,15 +66,11 @@ pub struct TelemetrySink {
     phase_items: [Arc<Counter>; 5],
     phase_nanos: [Arc<Histogram>; 5],
     sample_every: u64,
-    max_spans: usize,
-    spans: Vec<PhaseSpan>,
-    dropped_spans: u64,
 }
 
 impl TelemetrySink {
     /// Sink feeding `registry`, with sampled timing
-    /// ([`DEFAULT_TIMING_SAMPLE`]) and span retention
-    /// ([`DEFAULT_MAX_SPANS`]).
+    /// ([`DEFAULT_TIMING_SAMPLE`]).
     pub fn new(registry: Arc<MetricsRegistry>) -> Self {
         TelemetrySink {
             steps: registry.counter(names::STEPS),
@@ -105,9 +84,6 @@ impl TelemetrySink {
                 registry.histogram(&names::phase_nanos(Phase::ALL[i]))
             }),
             sample_every: DEFAULT_TIMING_SAMPLE,
-            max_spans: DEFAULT_MAX_SPANS,
-            spans: Vec::new(),
-            dropped_spans: 0,
         }
     }
 
@@ -122,28 +98,6 @@ impl TelemetrySink {
         self.with_timing_sample(1)
     }
 
-    /// Retain at most `max` phase spans (0 disables span recording).
-    pub fn with_max_spans(mut self, max: usize) -> Self {
-        self.max_spans = max;
-        self
-    }
-
-    /// Phase spans recorded so far (timed steps only).
-    pub fn spans(&self) -> &[PhaseSpan] {
-        &self.spans
-    }
-
-    /// Take ownership of the recorded spans.
-    pub fn take_spans(&mut self) -> Vec<PhaseSpan> {
-        std::mem::take(&mut self.spans)
-    }
-
-    /// Spans discarded after [`Self::with_max_spans`] was hit — nonzero
-    /// means the span record is truncated, not complete.
-    pub fn dropped_spans(&self) -> u64 {
-        self.dropped_spans
-    }
-
     fn timed(&self, t: Time) -> bool {
         self.sample_every != 0 && t.is_multiple_of(self.sample_every)
     }
@@ -154,18 +108,7 @@ impl StepObserver for TelemetrySink {
         let i = phase.index();
         self.phase_items[i].add(items as u64);
         if self.timed(t) {
-            let nanos = elapsed.as_nanos() as u64;
-            self.phase_nanos[i].record(nanos);
-            if self.spans.len() < self.max_spans {
-                self.spans.push(PhaseSpan {
-                    t,
-                    phase,
-                    items: items as u64,
-                    nanos,
-                });
-            } else {
-                self.dropped_spans += 1;
-            }
+            self.phase_nanos[i].record(elapsed.as_nanos() as u64);
         }
     }
 
@@ -306,24 +249,6 @@ mod tests {
         assert_eq!(snap.histograms[names::LIVE_SET].count, 2);
         assert_eq!(snap.gauges[names::LIVE_PEAK], 5);
         assert_eq!(snap.gauges[names::LIVE_NOW], 2);
-        assert_eq!(sink.spans().len(), 1);
-        assert_eq!(sink.spans()[0].items, 3);
-    }
-
-    #[test]
-    fn span_cap_drops_and_counts() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut sink = TelemetrySink::new(registry)
-            .with_full_timing()
-            .with_max_spans(2);
-        for t in 0..4 {
-            sink.on_phase(t, Phase::Receive, 1, Duration::from_nanos(1));
-        }
-        assert_eq!(sink.spans().len(), 2);
-        assert_eq!(sink.dropped_spans(), 2);
-        let spans = sink.take_spans();
-        assert_eq!(spans.len(), 2);
-        assert!(sink.spans().is_empty());
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! creation -> receive -> generate -> schedule -> execute -> forward
 //! ```
 //!
+//! The same values, serialised, are the `step` lines of a run record
+//! (`dtm_telemetry::RunTrace`): `run_trace --emit-trace` writes every
+//! tick's, a flight dump the last K, and `trace_report` renders either.
+//!
 //! ```text
 //! cargo run -p dtm-examples --bin step_debug
 //! ```
@@ -20,8 +24,8 @@ use std::fmt::Write as _;
 fn pretty(fx: &StepEffects) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "t={:<3} live_after={}", fx.t, fx.live_after);
-    if !fx.created.is_empty() {
-        let _ = writeln!(out, "  created   {:?}", fx.created);
+    for c in &fx.created {
+        let _ = writeln!(out, "  created   {} at {}", c.object, c.node);
     }
     if !fx.delivered.is_empty() {
         for d in &fx.delivered {

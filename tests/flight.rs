@@ -1,14 +1,13 @@
 //! Flight recorder + health watchdogs on real engine runs: O(K) memory
 //! over long streams, deterministic event sequences under deliberate
-//! overload, and schema-valid auto-dumps at failure onset.
+//! overload, and auto-dumps at failure onset that the run-record reader
+//! accepts.
 
 use dtm_core::{FifoPolicy, GreedyPolicy};
 use dtm_graph::topology;
 use dtm_model::{ArrivalProcess, OpenLoopSource, WorkloadSpec};
 use dtm_sim::{Engine, EngineConfig, Retention};
-use dtm_telemetry::{
-    flight_recorder, validate_flight_dump, HealthConfig, HealthEvent, HealthMonitor,
-};
+use dtm_telemetry::{flight_recorder, HealthConfig, HealthEvent, HealthMonitor, RunTrace};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -22,8 +21,8 @@ fn streaming_config(steps: u64, warmup: u64) -> EngineConfig {
 }
 
 /// A 100k-step streaming run with K=256 leaves the recorder holding
-/// exactly K records — the ring's memory is a function of K, not of run
-/// length — while having seen every step.
+/// exactly K steps — the ring's memory is a function of K and the items
+/// per step, not of run length — while having seen every step.
 #[test]
 fn recorder_memory_is_bounded_by_k_over_100k_steps() {
     const STEPS: u64 = 100_000;
@@ -47,17 +46,19 @@ fn recorder_memory_is_bounded_by_k_over_100k_steps() {
 
     let rec = recorder.lock();
     assert_eq!(rec.steps_seen(), STEPS, "recorder saw every step");
-    assert_eq!(rec.len(), K, "retains exactly K records");
+    assert_eq!(rec.len(), K, "retains exactly K steps");
     assert_eq!(rec.capacity(), K, "ring never grew past K");
     // The retained window is the *last* K steps, in order.
-    let records: Vec<_> = rec.records().collect();
-    assert_eq!(records.first().map(|r| r.t), Some(STEPS - K as u64));
-    assert_eq!(records.last().map(|r| r.t), Some(STEPS - 1));
-    assert!(records.windows(2).all(|w| w[1].t == w[0].t + 1));
-    // And the dump of that window is schema-valid.
-    let summary = validate_flight_dump(&rec.dump()).expect("dump validates");
-    assert_eq!(summary.records, K);
-    assert_eq!(summary.steps_seen, STEPS);
+    let window = rec.trace();
+    let steps = &window.steps;
+    assert_eq!(steps.first().map(|s| s.t), Some(STEPS - K as u64));
+    assert_eq!(steps.last().map(|s| s.t), Some(STEPS - 1));
+    assert!(steps.windows(2).all(|w| w[1].t == w[0].t + 1));
+    // And the dump of that window reads back as the same record.
+    let dump = RunTrace::from_jsonl(&rec.dump()).expect("dump validates");
+    assert_eq!(dump, window);
+    assert_eq!(dump.steps.len(), K);
+    assert_eq!(dump.steps_seen, STEPS);
 }
 
 /// Drive fifo on a line into deliberate overload (adversarial arrivals
@@ -73,7 +74,7 @@ fn overloaded_run(dump_path: &std::path::Path) -> (Vec<HealthEvent>, String) {
         1700,
     );
     // Timing sampling off: the sampled phase nanos are real wall-clock
-    // measurements and the only nondeterministic field in a record —
+    // measurements and the only nondeterministic field in a dump —
     // with them disabled the whole dump must be byte-identical across
     // reruns. (Counts, gauges and events are deterministic regardless.)
     let recorder = Arc::new(Mutex::new(
@@ -137,7 +138,7 @@ const EXPECTED_EVENTS: [(u64, &str, Option<u64>); 64] = [
 /// A deliberately overloaded run must produce a deterministic
 /// `HealthEvent` sequence — the same events, at the same steps, across
 /// repeated runs — and the auto-dump written at the first event must
-/// validate against the dump schema.
+/// read back as a run record.
 #[test]
 fn forced_overload_fires_deterministic_events_and_valid_dump() {
     let dir = std::env::temp_dir().join(format!("dtm-flight-test-{}", std::process::id()));
@@ -176,10 +177,12 @@ fn forced_overload_fires_deterministic_events_and_valid_dump() {
     assert_eq!(events_a, events_b, "health events must be deterministic");
     assert_eq!(dump_a, dump_b, "auto-dump must be byte-identical");
 
-    // The onset dump validates and carries the triggering event.
-    let summary = validate_flight_dump(&dump_a).expect("auto-dump schema-valid");
-    assert!(summary.health_events >= 1, "dump carries the first event");
-    assert!(summary.records > 0);
+    // The onset dump validates and carries the triggering event, with
+    // the window of whole steps leading up to it.
+    let onset = RunTrace::from_jsonl(&dump_a).expect("auto-dump schema-valid");
+    assert_eq!(onset.health, events_a[..1], "dump carries the first event");
+    assert_eq!(onset.steps.last().map(|s| s.t), Some(events_a[0].t));
+    assert_eq!(onset.steps.len(), 128);
     let _ = std::fs::remove_file(&path_a);
     let _ = std::fs::remove_file(&path_b);
 }

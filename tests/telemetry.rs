@@ -5,8 +5,10 @@
 //! the entire event log byte-identical to the bare run, for every
 //! online policy.
 //!
-//! Also checks the structured exports end to end: the JSONL round trip
-//! and the Chrome `trace_event` document against the schema validator.
+//! Also checks the run record end to end: the events derived from a
+//! recorder's steps equal the kernel's own log (drained and stopped at
+//! `max_steps`), the JSONL round trip, and the Chrome `trace_event`
+//! document against the schema validator.
 
 use dtm_core::{
     BucketPolicy, DistributedBucketPolicy, DistributedMsgPolicy, FifoPolicy, GreedyPolicy,
@@ -17,8 +19,8 @@ use dtm_model::{FiniteArrivals, ObjectChoice, TraceSource, WorkloadGenerator, Wo
 use dtm_offline::ListScheduler;
 use dtm_sim::{run_policy, Engine, EngineConfig, RunResult, SchedulingPolicy};
 use dtm_telemetry::{
-    decision_trace, flight_recorder, health_monitor, validate_chrome_trace, DecisionKind,
-    DecisionTrace, HealthConfig, MetricsRegistry, RunTrace, TelemetrySink,
+    decision_trace, health_monitor, validate_chrome_trace, DecisionKind, DecisionTrace,
+    FlightRecorder, HealthConfig, MetricsRegistry, RunTrace, TelemetrySink,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -41,8 +43,8 @@ fn scenario() -> (Network, dtm_model::Instance) {
 }
 
 /// Run `policy` with the full observer stack attached — metrics/trace
-/// sink, flight recorder, and health watchdogs; returns the run plus
-/// the captured side channels.
+/// sink, a flight recorder keeping every step (timing each), and health
+/// watchdogs; returns the run plus the full run record.
 fn observed_run(
     net: &Network,
     inst: dtm_model::Instance,
@@ -53,28 +55,42 @@ fn observed_run(
     let sink = Arc::new(Mutex::new(
         TelemetrySink::new(Arc::clone(&registry)).with_full_timing(),
     ));
-    let recorder = flight_recorder(32);
+    let recorder = Arc::new(Mutex::new(
+        FlightRecorder::new(usize::MAX).with_timing_sample(1),
+    ));
     let monitor = health_monitor(HealthConfig::default());
     let res = Engine::new(net.clone(), policy, config)
         .with_observer(Arc::clone(&sink))
         .with_observer(Arc::clone(&recorder))
         .with_observer(Arc::clone(&monitor))
         .run(TraceSource::new(inst));
-    // The recorder saw every step and its dump is schema-valid; the
-    // benign golden scenario must not trip any watchdog.
-    {
-        let rec = recorder.lock();
-        assert!(rec.steps_seen() > 0, "recorder observed the run");
-        dtm_telemetry::validate_flight_dump(&rec.dump()).expect("flight dump schema-valid");
-        assert!(
-            monitor.lock().is_healthy(),
-            "golden scenario fired a watchdog: {:?}",
-            monitor.lock().events()
-        );
-    }
-    let spans = sink.lock().take_spans();
-    let trace = RunTrace::from_run(&res, spans, None);
+    // The recorder saw every step; the benign golden scenario must not
+    // trip any watchdog.
+    let trace = recorder.lock().trace().with_run(&res);
+    assert_eq!(
+        trace.steps_seen, res.metrics.steps,
+        "recorder observed the run"
+    );
+    assert!(
+        monitor.lock().is_healthy(),
+        "golden scenario fired a watchdog: {:?}",
+        monitor.lock().events()
+    );
     (res, trace)
+}
+
+/// The events a full record's steps stand for are the kernel's own log,
+/// in memory and after a JSONL round trip.
+fn assert_derived_events(name: &str, res: &RunResult, trace: &RunTrace) {
+    assert!(!res.events.is_empty(), "{name}: the run recorded events");
+    assert_eq!(trace.events(), res.events, "{name}: derived events");
+    let back = RunTrace::from_jsonl(&trace.to_jsonl()).expect("record reads back");
+    assert_eq!(&back, trace, "{name}: JSONL round trip");
+    assert_eq!(
+        back.events(),
+        res.events,
+        "{name}: derived events after reading"
+    );
 }
 
 /// The two runs must agree on everything observable.
@@ -113,6 +129,7 @@ fn check_no_perturbation(
     let (observed, mut trace) = observed_run(&net, inst, mk_traced(Arc::clone(&decisions)), config);
     observed.expect_ok();
     assert_identical(name, &bare, &observed);
+    assert_derived_events(name, &observed, &trace);
     let decisions = {
         let guard = decisions.lock();
         guard.clone()
@@ -223,16 +240,14 @@ fn structured_exports_validate_on_real_run() {
 
     let jsonl = trace.to_jsonl();
     let back = RunTrace::from_jsonl(&jsonl).expect("jsonl round trips");
-    assert_eq!(back.events.len(), trace.events.len());
-    assert_eq!(back.decisions.len(), trace.decisions.len());
-    assert_eq!(back.phases.len(), trace.phases.len());
-    assert_eq!(back.policy, trace.policy);
+    assert_eq!(back, trace);
 
     let chrome = trace.chrome_trace();
     let n = validate_chrome_trace(&chrome).expect("chrome trace is schema-valid");
     // At minimum: one instant per commit and per decision, plus metadata.
+    let committed = trace.metrics.as_ref().expect("full trace").committed;
     assert!(
-        n > trace.metrics.committed + trace.decisions.len(),
+        n > committed + trace.decisions.len(),
         "expected commit + decision instants plus track metadata, got {n}"
     );
     // Survives a serialize/parse cycle (what Perfetto actually ingests).
@@ -265,5 +280,49 @@ fn timing_sampling_never_perturbs_schedules() {
             .with_observer(sink)
             .run(TraceSource::new(inst.clone()));
         assert_identical(&format!("timing sample={sample_every}"), &bare, &observed);
+    }
+}
+
+/// Stopped at `max_steps` with transactions still live, a full record's
+/// derived events still equal the kernel's log, for every policy: the
+/// live transactions' bodies come with the run's.
+#[test]
+fn derived_events_equal_the_kernels_when_stopped_early() {
+    let (net, inst) = scenario();
+    let policies: Vec<(&str, Box<dyn SchedulingPolicy>, EngineConfig)> = vec![
+        (
+            "greedy",
+            Box::new(GreedyPolicy::new()),
+            EngineConfig::default(),
+        ),
+        (
+            "bucket",
+            Box::new(BucketPolicy::new(ListScheduler::fifo())),
+            EngineConfig::default(),
+        ),
+        (
+            "distributed_bucket",
+            Box::new(DistributedBucketPolicy::new(&net, ListScheduler::fifo(), 7)),
+            DistributedBucketPolicy::<ListScheduler>::engine_config(),
+        ),
+        (
+            "distributed_msg",
+            Box::new(DistributedMsgPolicy::new(&net, ListScheduler::fifo(), 7)),
+            DistributedMsgPolicy::<ListScheduler>::engine_config(),
+        ),
+        ("fifo", Box::new(FifoPolicy::new()), EngineConfig::default()),
+        ("tsp", Box::new(TspPolicy::new()), EngineConfig::default()),
+    ];
+    for (name, policy, config) in policies {
+        let config = EngineConfig {
+            max_steps: 20,
+            ..config
+        };
+        let (res, trace) = observed_run(&net, inst.clone(), policy, config);
+        assert!(
+            res.commits.len() < res.txns.len(),
+            "{name}: the run stopped with transactions live"
+        );
+        assert_derived_events(name, &res, &trace);
     }
 }
