@@ -275,6 +275,44 @@ mod tests {
         assert!(a.len() > 50 && a.len() < 180, "got {}", a.len());
     }
 
+    /// The Poisson stream on a 2000-node graph, where a tick's draws span
+    /// whole generator refills, is the one a per-node `gen_bool` loop
+    /// and `sample_object_set` produce from the same seeded generator:
+    /// the same object placement, homes, object sets, ids and steps.
+    #[test]
+    fn poisson_stream_replays_per_node_gen_bool() {
+        let network = topology::geometric(2000, 4, 18);
+        let spec = WorkloadSpec::batch_uniform(500, 2);
+        let n = network.n();
+        for (rate, seed) in [(0.4, 2026), (4.0, 7)] {
+            let mut src = OpenLoopSource::new(
+                network.clone(),
+                spec.clone(),
+                ArrivalProcess::Poisson { rate },
+                seed,
+            );
+            let got = drain(&mut src, 300);
+
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let origins: Vec<NodeId> = (0..spec.num_objects)
+                .map(|_| NodeId(rng.gen_range(0..n as u32)))
+                .collect();
+            let placed: Vec<NodeId> = src.objects().iter().map(|o| o.origin).collect();
+            assert_eq!(placed, origins, "rate {rate}");
+            let mut want = Vec::new();
+            for t in 0..300 {
+                let homes: Vec<usize> = (0..n).filter(|_| rng.gen_bool(rate / n as f64)).collect();
+                for home in homes {
+                    let home = NodeId::from_index(home);
+                    let objs = spec.sample_object_set(&mut rng, src.objects(), home, &network);
+                    want.push(Transaction::new(TxnId(want.len() as u64), home, objs, t));
+                }
+            }
+            assert!(want.len() > 100, "rate {rate}: {} arrivals", want.len());
+            assert_eq!(got, want, "rate {rate}");
+        }
+    }
+
     #[test]
     fn poisson_never_exhausts_and_ids_are_sequential() {
         let mut src = OpenLoopSource::new(
