@@ -3,10 +3,10 @@
 //! `Retention::Streaming` with the edge-telemetry workload. Asserts the
 //! landmark oracle builds, routing keeps its promise (1000 seeded pairs
 //! walked hop by hop reach their target within `n` hops at a cost no
-//! larger than the reported distance), the kernel stays memory-bounded
-//! (the arena never outgrows the peak live set, the backlog stays small)
-//! and the run shuts down cleanly with real throughput. Exits nonzero on
-//! any violation.
+//! larger than the reported distance, every hop reporting its edge's
+//! weight), the kernel stays memory-bounded (the arena never outgrows the
+//! peak live set, the backlog stays small) and the run shuts down cleanly
+//! with real throughput. Exits nonzero on any violation.
 //!
 //! ```text
 //! cargo run -p dtm-bench --release --bin large_smoke
@@ -27,7 +27,8 @@ const RATE: f64 = 1.0;
 const ROUTED_PAIRS: u32 = 1_000;
 
 /// Walk `hop_toward` from `u` to `v`: the hop count and total cost, or
-/// `None` if the walk did not arrive within `n` hops.
+/// `None` if the walk did not arrive within `n` hops or reported a hop
+/// weight other than the graph's edge weight.
 fn walk(net: &Network, u: NodeId, v: NodeId) -> Option<(usize, Weight)> {
     let (mut cur, mut hops, mut cost) = (u, 0, 0);
     while cur != v {
@@ -35,6 +36,9 @@ fn walk(net: &Network, u: NodeId, v: NodeId) -> Option<(usize, Weight)> {
             return None;
         }
         let (next, w) = net.hop_toward(cur, v);
+        if net.graph().edge_weight(cur, next) != Some(w) {
+            return None;
+        }
         cur = next;
         hops += 1;
         cost += w;

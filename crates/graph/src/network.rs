@@ -1,7 +1,8 @@
 //! [`Network`]: a communication graph together with a distance and routing
 //! oracle. This is the object schedulers and the simulator query.
 //!
-//! The oracle is tiered by graph size, most exact tier first:
+//! The oracle is tiered by graph size, most exact tier first. The tier is
+//! chosen once, in [`Network::new`], and every query is one `match` on it:
 //!
 //! 1. **Structured** — closed-form answers for the paper's named
 //!    topologies ([`crate::structured`]), any size.
@@ -16,9 +17,10 @@
 //!    landmark trees through flat preorder intervals, with no cache or
 //!    lock. This is the tier that carries 10⁵–10⁶-node networks.
 //!
-//! Tiers 1–2 agree exactly (tie-breaking included); the property tests in
-//! this module and in `oracle` pin both that equivalence and the landmark
-//! tier's stretch bound.
+//! Each tier reads a hop's weight from its own data, and the CSR edge
+//! lookup is only a debug check. Tiers 1–2 agree exactly (tie-breaking
+//! included); the property tests in this module and in `oracle` pin both
+//! that equivalence and the landmark tier's stretch bound.
 
 use crate::graph::{Graph, NodeId, Weight};
 use crate::oracle::LandmarkOracle;
@@ -41,15 +43,23 @@ pub struct Network {
 
 struct Inner {
     graph: Graph,
-    structured: Option<Structured>,
-    /// Shortest-path trees indexed by *target* node, each computed on
-    /// first use. One slot per node on the lazy-tree tier, empty on the
-    /// structured and landmark tiers — so non-empty *is* the tier test.
-    trees: Box<[OnceLock<ShortestPathTree>]>,
-    /// Landmark oracle, built on first use; only the landmark tier
-    /// (unstructured graphs above [`LAZY_LIMIT`]) ever asks for it.
-    landmark: OnceLock<LandmarkOracle>,
-    diameter: OnceLock<Weight>,
+    /// The routing tier, fixed at construction.
+    routing: Routing,
+}
+
+/// Which tier answers a network's queries, with that tier's data.
+enum Routing {
+    /// Closed forms for a named topology.
+    Structured(Structured),
+    /// Unstructured graphs up to [`LAZY_LIMIT`] nodes: one tree slot per
+    /// *target* node and the exact diameter, each computed on first use.
+    Trees {
+        trees: Box<[OnceLock<ShortestPathTree>]>,
+        diameter: OnceLock<Weight>,
+    },
+    /// Larger unstructured graphs: the landmark oracle, built on first
+    /// use (a network that is never queried never pays for it).
+    Landmark(OnceLock<LandmarkOracle>),
 }
 
 impl Network {
@@ -63,26 +73,24 @@ impl Network {
         graph
             .validate()
             .unwrap_or_else(|e| panic!("invalid network graph {}: {e}", graph.name()));
-        if let Some(s) = &structured {
-            assert_eq!(
-                s.n(),
-                graph.n(),
-                "structured oracle node count mismatch for {}",
-                graph.name()
-            );
-        }
-        let tree_slots = match structured {
-            None if graph.n() <= LAZY_LIMIT => graph.n(),
-            _ => 0,
+        let routing = match structured {
+            Some(s) => {
+                assert_eq!(
+                    s.n(),
+                    graph.n(),
+                    "structured oracle node count mismatch for {}",
+                    graph.name()
+                );
+                Routing::Structured(s)
+            }
+            None if graph.n() <= LAZY_LIMIT => Routing::Trees {
+                trees: (0..graph.n()).map(|_| OnceLock::new()).collect(),
+                diameter: OnceLock::new(),
+            },
+            None => Routing::Landmark(OnceLock::new()),
         };
         Network {
-            inner: Arc::new(Inner {
-                graph,
-                structured,
-                trees: (0..tree_slots).map(|_| OnceLock::new()).collect(),
-                landmark: OnceLock::new(),
-                diameter: OnceLock::new(),
-            }),
+            inner: Arc::new(Inner { graph, routing }),
         }
     }
 
@@ -105,7 +113,10 @@ impl Network {
 
     /// The closed-form oracle, if this network is a structured topology.
     pub fn structured(&self) -> Option<&Structured> {
-        self.inner.structured.as_ref()
+        match &self.inner.routing {
+            Routing::Structured(s) => Some(s),
+            Routing::Trees { .. } | Routing::Landmark(_) => None,
+        }
     }
 
     /// Shortest-path distance between two nodes. Exact on the structured
@@ -117,13 +128,11 @@ impl Network {
         if u == v {
             return 0;
         }
-        if let Some(s) = &self.inner.structured {
-            return s.dist(u, v);
+        match &self.inner.routing {
+            Routing::Structured(s) => s.dist(u, v),
+            Routing::Trees { trees, .. } => self.tree(trees, v).dist(u),
+            Routing::Landmark(oracle) => self.oracle(oracle).distance(u, v),
         }
-        if !self.inner.trees.is_empty() {
-            return self.tree(v).dist(u);
-        }
-        self.landmark().distance(u, v)
     }
 
     /// [`Network::distance`]`(·, v)` for one fixed `v`, for callers that
@@ -132,7 +141,10 @@ impl Network {
     /// [`LandmarkOracle::distances_to`]); the other tiers answer each query
     /// through [`Network::distance`].
     pub fn distances_to(&self, v: NodeId) -> impl Fn(NodeId) -> Weight + '_ {
-        let landmark = (self.routing_tier() == "landmark").then(|| self.landmark().distances_to(v));
+        let landmark = match &self.inner.routing {
+            Routing::Landmark(oracle) => Some(self.oracle(oracle).distances_to(v)),
+            Routing::Structured(_) | Routing::Trees { .. } => None,
+        };
         move |u| match &landmark {
             Some(to_v) => to_v(u),
             None => self.distance(u, v),
@@ -145,56 +157,40 @@ impl Network {
     ///
     /// # Panics
     /// Panics if `from == target`.
-    // dtm-lint: hot-path
     pub fn next_hop(&self, from: NodeId, target: NodeId) -> NodeId {
-        assert_ne!(from, target, "next_hop requires distinct endpoints");
-        if let Some(s) = &self.inner.structured {
-            return s.next_hop(from, target);
-        }
-        if !self.inner.trees.is_empty() {
-            return self
-                .tree(target)
-                .next_hop(from)
-                .expect("connected graph: every node routes to every target"); // dtm-lint: allow(C1) -- Network::new rejects disconnected graphs, so every tree reaches every node
-        }
-        self.landmark().next_hop(from, target)
+        self.hop_toward(from, target).0
     }
 
     /// First hop from `from` toward `target` together with that edge's
     /// weight — the forward phase's per-departure query, answered in one
-    /// oracle probe. On any shortest-path hop the edge weight equals the
-    /// distance drop `dist(from, target) - dist(next, target)`, so no
-    /// scan of the CSR edge row is needed.
+    /// oracle probe. Each tier reads the weight from its own data: the
+    /// closed form, or the distance drop along the tree the hop follows
+    /// (the target's tree, or the tree of its home landmark), so no scan
+    /// of the CSR edge row is needed.
     ///
     /// # Panics
     /// Panics if `from == target`.
     // dtm-lint: hot-path
     pub fn hop_toward(&self, from: NodeId, target: NodeId) -> (NodeId, Weight) {
         assert_ne!(from, target, "hop_toward requires distinct endpoints");
-        let (next, w) = if let Some(s) = &self.inner.structured {
-            let next = s.next_hop(from, target);
-            (next, s.edge_weight(from, next))
-        } else if !self.inner.trees.is_empty() {
-            let tree = self.tree(target);
-            let next = tree
-                .next_hop(from)
-                .expect("connected graph: every node routes to every target"); // dtm-lint: allow(C1) -- Network::new rejects disconnected graphs, so every tree reaches every node
-            (next, tree.dist(from) - tree.dist(next))
-        } else {
-            // Landmark distances are estimates, so the distance-drop trick
-            // does not apply; hops are tree edges, read the weight directly.
-            let next = self.landmark().next_hop(from, target);
-            let w = self
-                .inner
-                .graph
-                .edge_weight(from, next)
-                .expect("landmark-routed hops follow graph edges"); // dtm-lint: allow(C1) -- oracle paths walk shortest-path-tree edges, which are graph edges by construction
-            (next, w)
+        let (next, w) = match &self.inner.routing {
+            Routing::Structured(s) => {
+                let next = s.next_hop(from, target);
+                (next, s.edge_weight(from, next))
+            }
+            Routing::Trees { trees, .. } => {
+                let tree = self.tree(trees, target);
+                let next = tree
+                    .next_hop(from)
+                    .expect("connected graph: every node routes to every target"); // dtm-lint: allow(C1) -- Network::new rejects disconnected graphs, so every tree reaches every node
+                (next, tree.dist(from) - tree.dist(next))
+            }
+            Routing::Landmark(oracle) => self.oracle(oracle).hop_toward(from, target),
         };
         debug_assert_eq!(
             Some(w),
             self.inner.graph.edge_weight(from, next),
-            "distance drop along a shortest-path hop is the edge weight"
+            "a routed hop's weight is its edge's weight"
         );
         (next, w)
     }
@@ -210,21 +206,19 @@ impl Network {
         path
     }
 
-    /// Graph diameter `D` (cached after first computation). Exact on
-    /// structured and exact-tier networks; on the landmark tier a
-    /// deterministic upper bound that also dominates every reported
-    /// distance (all consumers — bucket levels, cover depth, adaptive
-    /// horizons — only require an upper bound).
+    /// Graph diameter `D`. Exact on structured (a closed form) and
+    /// lazy-tree networks (cached after first computation); on the
+    /// landmark tier the oracle's deterministic upper bound, which also
+    /// dominates every reported distance (all consumers — bucket levels,
+    /// cover depth, adaptive horizons — only require an upper bound).
     pub fn diameter(&self) -> Weight {
-        *self.inner.diameter.get_or_init(|| {
-            if let Some(s) = &self.inner.structured {
-                s.diameter()
-            } else if !self.inner.trees.is_empty() {
-                crate::shortest_paths::diameter(&self.inner.graph)
-            } else {
-                self.landmark().diameter_bound()
+        match &self.inner.routing {
+            Routing::Structured(s) => s.diameter(),
+            Routing::Trees { diameter, .. } => {
+                *diameter.get_or_init(|| crate::shortest_paths::diameter(&self.inner.graph))
             }
-        })
+            Routing::Landmark(oracle) => self.oracle(oracle).diameter_bound(),
+        }
     }
 
     /// The quantity `n * D` that bounds the worst sequential schedule
@@ -243,16 +237,13 @@ impl Network {
 
     /// Which tier answers this network's distance/next-hop queries:
     /// `"structured"` (closed-form), `"lazy-tree"` (on-demand
-    /// shortest-path trees) or `"landmark"` (approximate oracle). Purely a
-    /// function of the construction parameters — nothing is built to
-    /// answer this.
+    /// shortest-path trees) or `"landmark"` (approximate oracle). A label
+    /// for reports; nothing is built to answer this.
     pub fn routing_tier(&self) -> &'static str {
-        if self.inner.structured.is_some() {
-            "structured"
-        } else if !self.inner.trees.is_empty() {
-            "lazy-tree"
-        } else {
-            "landmark"
+        match &self.inner.routing {
+            Routing::Structured(_) => "structured",
+            Routing::Trees { .. } => "lazy-tree",
+            Routing::Landmark(_) => "landmark",
         }
     }
 
@@ -261,26 +252,21 @@ impl Network {
     /// covering radius) on the landmark tier. Forces the oracle build on
     /// first call for landmark-tier networks.
     pub fn distance_slack(&self) -> Weight {
-        if self.routing_tier() == "landmark" {
-            self.landmark().stretch_radius().saturating_mul(2)
-        } else {
-            0
+        match &self.inner.routing {
+            Routing::Structured(_) | Routing::Trees { .. } => 0,
+            Routing::Landmark(oracle) => self.oracle(oracle).stretch_radius().saturating_mul(2),
         }
     }
 
-    /// The landmark oracle, built on first use. Callers are on the
-    /// landmark tier: unstructured, with no tree slots.
-    fn landmark(&self) -> &LandmarkOracle {
-        self.inner
-            .landmark
-            .get_or_init(|| LandmarkOracle::build(&self.inner.graph))
+    /// The landmark-tier oracle in `cell`, built on first use.
+    fn oracle<'a>(&self, cell: &'a OnceLock<LandmarkOracle>) -> &'a LandmarkOracle {
+        cell.get_or_init(|| LandmarkOracle::build(&self.inner.graph))
     }
 
-    /// Shortest-path tree toward `target`, computed on first use and read
+    /// The lazy-tier tree toward `t`, computed on first use and read
     /// lock-free afterwards.
-    fn tree(&self, target: NodeId) -> &ShortestPathTree {
-        self.inner.trees[target.index()]
-            .get_or_init(|| ShortestPathTree::compute(&self.inner.graph, target))
+    fn tree<'a>(&self, trees: &'a [OnceLock<ShortestPathTree>], t: NodeId) -> &'a ShortestPathTree {
+        trees[t.index()].get_or_init(|| ShortestPathTree::compute(&self.inner.graph, t))
     }
 }
 
@@ -289,7 +275,7 @@ impl std::fmt::Debug for Network {
         f.debug_struct("Network")
             .field("name", &self.name())
             .field("n", &self.n())
-            .field("structured", &self.inner.structured.is_some())
+            .field("structured", &self.structured().is_some())
             .finish()
     }
 }
@@ -386,8 +372,9 @@ mod tests {
 
     #[test]
     fn hop_toward_matches_next_hop_and_edge_weight() {
-        // Structured closed forms (hypercube, cluster) and lazy trees
-        // (random graph, long weighted path).
+        // Structured closed forms (hypercube, cluster), lazy trees
+        // (random graph, long weighted path) and landmark trees (a random
+        // graph above the lazy limit, sampled at a wider stride).
         let nets = [
             crate::topology::hypercube(4),
             // Cluster exercises the one non-unit edge weight (γ bridges).
@@ -401,11 +388,13 @@ mod tests {
                 }
                 Network::new(g, None)
             },
+            crate::topology::random(LAZY_LIMIT as u32 + 200, 3, 5, 7),
         ];
+        assert_eq!(nets[4].routing_tier(), "landmark");
         for net in &nets {
             let n = net.n() as u32;
-            for u in (0..n).step_by(5) {
-                for v in (0..n).step_by(7) {
+            for u in (0..n).step_by((n as usize / 50).max(5)) {
+                for v in (0..n).step_by((n as usize / 35).max(7)) {
                     if u == v {
                         continue;
                     }
@@ -439,7 +428,7 @@ mod tests {
             }
             p
         };
-        let r2 = 2 * net.landmark().stretch_radius();
+        let r2 = net.distance_slack();
         for (u, v) in [(0u32, 17u32), (4_000, 13), (900, 901), (2_048, 4_100)] {
             let truth = prefix[u.max(v) as usize] - prefix[u.min(v) as usize];
             let est = net.distance(NodeId(u), NodeId(v));

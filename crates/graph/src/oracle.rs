@@ -244,31 +244,39 @@ impl LandmarkOracle {
         }
     }
 
-    /// First hop from `u` on the oracle's routed path toward `v`: down to
-    /// the child whose preorder interval holds `v` if `u` is an ancestor
-    /// of `v` in the tree of `H(v)`, up to `u`'s parent otherwise.
-    // dtm-lint: hot-path
+    /// First hop from `u` on the oracle's routed path toward `v`.
     pub fn next_hop(&self, u: NodeId, v: NodeId) -> NodeId {
-        debug_assert_ne!(u, v, "next_hop requires distinct endpoints");
+        self.hop_toward(u, v).0
+    }
+
+    /// First hop from `u` on the oracle's routed path toward `v`, with its
+    /// edge weight: down to the child whose preorder interval holds `v` if
+    /// `u` is an ancestor of `v` in the tree of `H(v)`, up to `u`'s parent
+    /// otherwise. Either way the hop is an edge of that tree, so its
+    /// weight is the difference of its endpoints' distances in the tree.
+    // dtm-lint: hot-path
+    pub fn hop_toward(&self, u: NodeId, v: NodeId) -> (NodeId, Weight) {
+        debug_assert_ne!(u, v, "hop_toward requires distinct endpoints");
         let t = &self.trees[self.home[v.index()] as usize];
         let x = t.span[v.index()].0;
         let (at, size) = t.span[u.index()];
         // `x ∈ [at, at + size)` as one unsigned compare.
-        if x.wrapping_sub(at) >= size {
-            return t
-                .tree
+        let next = if x.wrapping_sub(at) >= size {
+            t.tree
                 .next_hop(u)
-                .expect("the root is an ancestor of every node"); // dtm-lint: allow(C1) -- only the root lacks a parent, and the root's interval holds every node
-        }
-        let mut child = t.pre[at as usize + 1];
-        loop {
-            let (tin, size) = t.span[child as usize];
-            let end = tin + size;
-            if x < end {
-                return NodeId(child);
+                .expect("the root is an ancestor of every node") // dtm-lint: allow(C1) -- only the root lacks a parent, and the root's interval holds every node
+        } else {
+            let mut child = t.pre[at as usize + 1];
+            loop {
+                let (tin, size) = t.span[child as usize];
+                let end = tin + size;
+                if x < end {
+                    break NodeId(child);
+                }
+                child = t.pre[end as usize];
             }
-            child = t.pre[end as usize];
-        }
+        };
+        (next, t.tree.dist(u).abs_diff(t.tree.dist(next)))
     }
 }
 
@@ -417,7 +425,8 @@ mod tests {
     #[test]
     fn next_hop_matches_reference_on_small_graphs() {
         // Every ordered pair, three graph families, k from a single
-        // landmark up to saturation (k >= n).
+        // landmark up to saturation (k >= n); `hop_toward` also reports
+        // the hop's edge weight, up the tree or down.
         let nets = [
             topology::random(40, 3, 5, 17),
             topology::geometric(60, 3, 4),
@@ -435,6 +444,8 @@ mod tests {
                         if u != v {
                             let hop = oracle.next_hop(u, v);
                             assert_eq!(hop, oracle.compute_path(u, v)[1], "{u}->{v} k={k}");
+                            let w = g.edge_weight(u, hop).expect("routed hops are edges");
+                            assert_eq!(oracle.hop_toward(u, v), (hop, w), "{u}->{v} k={k}");
                         }
                     }
                 }

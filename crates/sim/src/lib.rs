@@ -57,8 +57,8 @@ pub use events::Event;
 pub use gantt::{render_timeline, TimelineOptions};
 pub use kernel::{KernelMapStats, RunCheckpoint, RunStatus, StepKernel};
 pub use metrics::{
-    edge_congestion, peak_congestion, percentile, LatencySummary, Log2Histogram, Metrics,
-    RunResult, Violation,
+    edge_congestion, log2_bucket, peak_congestion, percentile, LatencySummary, Log2Histogram,
+    Metrics, RunResult, Violation, LOG2_BUCKETS,
 };
 pub use observer::{Phase, StepObserver};
 pub use policy::{FixedSchedulePolicy, SchedulingPolicy};

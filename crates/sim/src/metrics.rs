@@ -117,7 +117,14 @@ impl LatencySummary {
 
 /// Number of log2 buckets in a [`Log2Histogram`]: bucket 0 holds the
 /// value 0, bucket `i >= 1` holds `[2^(i-1), 2^i - 1]`; 65 covers `u64`.
-const LOG2_BUCKETS: usize = 65;
+pub const LOG2_BUCKETS: usize = 65;
+
+/// Log2 bucket of `v`: 0 for 0, else `1 + floor(log2 v)`. Every log2
+/// histogram in the workspace buckets through this function.
+#[inline]
+pub fn log2_bucket(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()) as usize
+}
 
 /// Fixed-size log2-bucketed histogram of `Time` samples — the
 /// bounded-memory latency accumulator for open-system (streaming) runs,
@@ -158,8 +165,7 @@ impl Log2Histogram {
 
     /// Record one sample.
     pub fn record(&mut self, v: Time) {
-        let idx = (u64::BITS - v.leading_zeros()) as usize;
-        self.buckets[idx] += 1;
+        self.buckets[log2_bucket(v)] += 1;
         self.count += 1;
         self.sum += v as u128;
         self.min = self.min.min(v);

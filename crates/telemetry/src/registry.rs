@@ -7,7 +7,7 @@
 //! the registry's lifetime; [`MetricsRegistry::snapshot`] freezes them
 //! into a serde-serializable [`MetricsSnapshot`].
 
-use dtm_sim::Log2Histogram;
+use dtm_sim::{log2_bucket, Log2Histogram, LOG2_BUCKETS};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -61,19 +61,16 @@ impl Gauge {
     }
 }
 
-/// Number of log2 buckets: bucket 0 holds the value 0, bucket `i >= 1`
-/// holds values in `[2^(i-1), 2^i - 1]`; 64 covers the whole `u64` range.
-const BUCKETS: usize = 65;
-
 /// Log2-bucketed histogram of `u64` samples.
 ///
 /// Bucketing is exponential, which suits the long-tailed quantities this
 /// workspace measures (queue waits, hop counts, live-set sizes): relative
-/// resolution is constant across 19 orders of magnitude at 65 fixed
-/// buckets, and recording is one atomic add plus min/max updates.
+/// resolution is constant across 19 orders of magnitude at the 65
+/// buckets of [`dtm_sim::log2_bucket`], and recording is one atomic add
+/// plus min/max updates.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
+    buckets: [AtomicU64; LOG2_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -92,15 +89,10 @@ impl Default for Histogram {
     }
 }
 
-/// Bucket index of `v`: 0 for 0, else `1 + floor(log2 v)`.
-fn bucket_index(v: u64) -> usize {
-    (u64::BITS - v.leading_zeros()) as usize
-}
-
 impl Histogram {
     /// Record one sample.
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[log2_bucket(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
@@ -299,12 +291,12 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_log2() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), 64);
+        assert_eq!(log2_bucket(0), 0);
+        assert_eq!(log2_bucket(1), 1);
+        assert_eq!(log2_bucket(2), 2);
+        assert_eq!(log2_bucket(3), 2);
+        assert_eq!(log2_bucket(4), 3);
+        assert_eq!(log2_bucket(u64::MAX), 64);
 
         let h = Histogram::default();
         for v in [0, 1, 2, 3, 900] {
@@ -347,18 +339,18 @@ mod tests {
     #[test]
     fn bucket_index_boundaries() {
         // Zero gets its own bucket; otherwise bucket `1 + floor(log2 v)`.
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
+        assert_eq!(log2_bucket(0), 0);
+        assert_eq!(log2_bucket(1), 1);
         // Every power of two opens a new bucket; its predecessor closes the
         // previous one.
         for shift in 1..64u32 {
             let p = 1u64 << shift;
-            assert_eq!(bucket_index(p), shift as usize + 1, "at 2^{shift}");
-            assert_eq!(bucket_index(p - 1), shift as usize, "at 2^{shift} - 1");
+            assert_eq!(log2_bucket(p), shift as usize + 1, "at 2^{shift}");
+            assert_eq!(log2_bucket(p - 1), shift as usize, "at 2^{shift} - 1");
         }
-        assert_eq!(bucket_index(u64::MAX), 64);
+        assert_eq!(log2_bucket(u64::MAX), 64);
         // The largest index fits the fixed bucket array.
-        assert!(bucket_index(u64::MAX) < BUCKETS);
+        assert!(log2_bucket(u64::MAX) < LOG2_BUCKETS);
     }
 
     #[test]
