@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dtm_core::{smallest_valid_color, ColorConstraint, GreedyPolicy};
 use dtm_graph::{topology, NodeId, ShortestPathTree, SparseCover};
 use dtm_model::{
-    ArrivalProcess, FiniteArrivals, ObjectChoice, ObjectId, ObjectInfo, OpenLoopSource,
+    presets, ArrivalProcess, FiniteArrivals, ObjectChoice, ObjectId, ObjectInfo, OpenLoopSource,
     TraceSource, Transaction, TxnId, WorkloadGenerator, WorkloadSource, WorkloadSpec,
 };
 use dtm_offline::{batch_lower_bound, BatchContext, BatchScheduler, ListScheduler};
@@ -288,27 +288,43 @@ fn bench_instance_gen(c: &mut Criterion) {
 
 /// 1000 ticks of an open-loop Poisson source at ρ=0.4 on a 10⁴-node
 /// geometric graph: one Bernoulli draw per node per tick, ~400 arrivals.
-/// The source runs on across iterations (Poisson is stateless in `t`),
-/// so no construction is timed.
+/// Two rows: uniform objects, and the `stream-geo10k` benchmark's
+/// `edge_sensors` objects (2000 objects, `Neighborhood` radius
+/// 48 + slack), whose per-arrival draw counts the local objects. Each
+/// source runs on across iterations (Poisson is stateless in `t`), so
+/// no construction is timed.
 fn bench_open_loop_tick(c: &mut Criterion) {
-    let mut src = OpenLoopSource::new(
-        topology::geometric(10_000, 4, 18),
-        WorkloadSpec::batch_uniform(2000, 1),
-        ArrivalProcess::Poisson { rate: 0.4 },
-        2026,
-    );
-    let mut out = Vec::new();
-    let mut t = 0;
-    c.bench_function("substrate/model/open-loop-tick-geometric10k", |b| {
-        b.iter(|| {
-            out.clear();
-            for _ in 0..1000 {
-                src.arrivals_into(t, &mut out);
-                t += 1;
-            }
-            std::hint::black_box(out.len())
-        })
-    });
+    let net = topology::geometric(10_000, 4, 18);
+    let neighborhood = presets::edge_sensors(10_000, 5, 48 + net.distance_slack(), 0.0, 0);
+    for (name, spec) in [
+        (
+            "substrate/model/open-loop-tick-geometric10k",
+            WorkloadSpec::batch_uniform(2000, 1),
+        ),
+        (
+            "substrate/model/open-loop-tick-geometric10k-neighborhood",
+            neighborhood,
+        ),
+    ] {
+        let mut src = OpenLoopSource::new(
+            net.clone(),
+            spec,
+            ArrivalProcess::Poisson { rate: 0.4 },
+            2026,
+        );
+        let mut out = Vec::new();
+        let mut t = 0;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                out.clear();
+                for _ in 0..1000 {
+                    src.arrivals_into(t, &mut out);
+                    t += 1;
+                }
+                std::hint::black_box(out.len())
+            })
+        });
+    }
 }
 
 /// Scale-decade rows for the CSR spine and the landmark oracle (ledger

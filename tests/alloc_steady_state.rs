@@ -357,3 +357,40 @@ fn allocation_rate_under_load_tracks_arrivals_not_history() {
         "{allocs} allocations for {arrivals} txns ({per_txn:.1}/txn): steady state leaks"
     );
 }
+
+/// A locality arrival allocates only what it hands out: with
+/// `presets::edge_sensors` objects on a landmark-tier geometric graph,
+/// each arrival's `Neighborhood` draw counts the local objects and then
+/// scans to the picked one, so `arrivals_into` allocates just the picked
+/// object set and the transaction's access list (no per-draw list of local
+/// objects).
+#[test]
+fn neighborhood_arrivals_allocate_only_the_transaction() {
+    use dtm_model::{presets, WorkloadSource};
+
+    let net = topology::geometric(5_000, 4, 18);
+    assert_eq!(net.routing_tier(), "landmark");
+    let spec = presets::edge_sensors(5_000, 5, 48 + net.distance_slack(), 0.0, 0);
+    let mut source = OpenLoopSource::new(net, spec, ArrivalProcess::Poisson { rate: 0.4 }, 2026);
+    let mut out = Vec::with_capacity(64);
+    // Warm up: builds the landmark oracle and sizes the source's home
+    // buffer.
+    for t in 0..200 {
+        out.clear();
+        source.arrivals_into(t, &mut out);
+    }
+
+    let emitted_before = source.emitted();
+    let before = allocations();
+    for t in 200..1_200 {
+        out.clear();
+        source.arrivals_into(t, &mut out);
+    }
+    let allocs = allocations() - before;
+    let arrivals = source.emitted() - emitted_before;
+    assert!(arrivals > 100, "only {arrivals} arrivals; premise broken");
+    assert!(
+        allocs <= 2 * arrivals,
+        "{allocs} allocations for {arrivals} arrivals: more than the object set and the access list"
+    );
+}
