@@ -354,6 +354,65 @@ fn run_trace_fails_gracefully_on_bad_input() {
         &run_bin(exe, &[ok.to_str().unwrap(), "quantum"]),
         "unknown policy",
     );
+    // A transaction in the older shape, without an `objects` list.
+    let (head, txns) = trace.split_once("\"txns\"").expect("trace lists txns");
+    let no_objects = tmp_file(
+        "run-no-objects.json",
+        &format!(
+            "{head}\"txns\"{}",
+            txns.replace("\"objects\"", "\"accesses\"")
+        ),
+    );
+    assert_graceful(
+        &run_bin(exe, &[no_objects.to_str().unwrap()]),
+        "transaction without objects",
+    );
+    // An object list must be strictly ascending: a duplicated or reversed
+    // one is rejected by `Instance::validate` before any policy runs.
+    let edits: [(&str, ListEdit); 2] = [
+        ("duplicated", |list| list.insert(0, list[0].clone())),
+        ("reversed", |list| list.reverse()),
+    ];
+    for (what, edit) in edits {
+        let bad = tmp_file(
+            &format!("run-{what}-objects.json"),
+            &with_first_object_list(&trace, edit),
+        );
+        for policy in ["greedy", "bucket", "fifo", "tsp", "distributed"] {
+            assert_graceful(
+                &run_bin(exe, &[bad.to_str().unwrap(), policy]),
+                &format!("{what} object list under {policy}"),
+            );
+        }
+    }
+}
+
+/// An in-place rewrite of one transaction's serialized object list.
+type ListEdit = fn(&mut Vec<serde_json::Value>);
+
+/// `trace` re-serialized with the object list of its first transaction
+/// that has two or more objects rewritten by `edit`.
+fn with_first_object_list(trace: &str, edit: ListEdit) -> String {
+    use serde_json::Value;
+    fn field<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+        let Value::Object(fields) = value else {
+            panic!("no object around {key:?}");
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+    }
+    let mut doc: Value = serde_json::from_str(trace).expect("gen_trace writes JSON");
+    let Value::Array(txns) = field(field(&mut doc, "instance"), "txns") else {
+        panic!("txns is not an array");
+    };
+    let list = txns
+        .iter_mut()
+        .find_map(|txn| match field(txn, "objects") {
+            Value::Array(list) if list.len() >= 2 => Some(list),
+            _ => None,
+        })
+        .expect("a transaction with two objects");
+    edit(list);
+    serde_json::to_string(&doc).expect("JSON value serializes")
 }
 
 /// `gen_trace` stdout for `args`, asserting success.

@@ -247,50 +247,3 @@ mod tests {
         assert_eq!(extended_degrees(&view, &t).degree, 0);
     }
 }
-
-#[cfg(test)]
-mod read_mode_tests {
-
-    use dtm_graph::topology;
-    use dtm_graph::NodeId;
-    use dtm_model::TxnId;
-    use dtm_model::{AccessMode, Instance, ObjectId, ObjectInfo, TraceSource, Transaction};
-    use dtm_sim::{run_policy, validate_events, EngineConfig, ValidationConfig};
-
-    /// Two *readers* of the same single-copy object must still serialize:
-    /// the object physically visits one node at a time. This guards the
-    /// scheduler against using the read/write-aware conflict notion where
-    /// the paper's object-intersection notion is required.
-    #[test]
-    fn two_readers_still_serialize() {
-        let net = topology::line(6);
-        let reader = |id: u64, home: u32| {
-            Transaction::with_modes(
-                TxnId(id),
-                NodeId(home),
-                [(ObjectId(0), AccessMode::Read)],
-                0,
-            )
-        };
-        let inst = Instance::new(
-            vec![ObjectInfo {
-                id: ObjectId(0),
-                origin: NodeId(0),
-                created_at: 0,
-            }],
-            vec![reader(0, 2), reader(1, 4)],
-        );
-        let res = run_policy(
-            &net,
-            TraceSource::new(inst),
-            crate::greedy::GreedyPolicy::new(),
-            EngineConfig::default(),
-        );
-        res.expect_ok();
-        validate_events(&net, &res, &ValidationConfig::default()).unwrap();
-        assert_eq!(res.metrics.committed, 2);
-        // Distinct commit times: physical serialization happened.
-        let times: Vec<_> = res.commits.values().collect();
-        assert_ne!(times[0], times[1]);
-    }
-}

@@ -7,8 +7,10 @@
 //! The paper's setting: transactions arrive online at nodes of a weighted
 //! communication graph and request mobile shared objects; objects move to
 //! transactions along shortest paths; the scheduler assigns each
-//! transaction an execution time that is never revised. Three schedulers
-//! are provided, each a [`dtm_sim::SchedulingPolicy`]:
+//! transaction an execution time that is never revised. Two transactions
+//! conflict iff they request a common object
+//! ([`dtm_model::Transaction::shares_objects`]). Three schedulers are
+//! provided, each a [`dtm_sim::SchedulingPolicy`]:
 //!
 //! * [`GreedyPolicy`] — **Algorithm 1**, the online greedy schedule: each
 //!   arriving transaction is colored in the extended dependency graph
@@ -69,7 +71,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod bucket;
 pub mod centralized;
 pub mod coloring;
@@ -81,7 +82,6 @@ pub mod fifo;
 pub mod greedy;
 pub mod viewctx;
 
-pub use adaptive::{AutoPolicy, RandomizedBackoffPolicy};
 pub use bucket::BucketPolicy;
 pub use centralized::CentralizedWrapper;
 pub use coloring::{

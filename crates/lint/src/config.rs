@@ -429,4 +429,26 @@ flags = ["-D", "warnings"]
         assert!(Config::parse("[s]\nkey \"v\"").is_err());
         assert!(Config::parse("[s]\nkey = [\"a\" \"b\"]").is_err());
     }
+
+    /// Every truncation of the checked-in `lint.toml`, and single-char
+    /// substitutions of its structural characters, parse to `Ok` or to a
+    /// `ConfigError`: the parser never panics.
+    #[test]
+    fn checked_in_file_mutations_never_panic() {
+        let src = include_str!("../../../lint.toml");
+        Config::parse(src).expect("the checked-in lint.toml parses");
+        let parses = |input: &str| {
+            let outcome = std::panic::catch_unwind(|| Config::parse(input));
+            assert!(outcome.is_ok(), "Config::parse panicked on {input:?}");
+        };
+        for (i, _) in src.char_indices() {
+            parses(&src[..i]);
+        }
+        // A prime stride puts the substitution at varied columns.
+        for (i, c) in src.char_indices().step_by(7) {
+            for sub in ['"', '[', ']', '=', '#', '\n'] {
+                parses(&format!("{}{sub}{}", &src[..i], &src[i + c.len_utf8()..]));
+            }
+        }
+    }
 }

@@ -32,6 +32,9 @@ pub enum InstanceError {
     DuplicateObject(ObjectId),
     /// A transaction requests an object created after its generation time.
     ObjectNotYetCreated(TxnId, ObjectId),
+    /// A transaction's object list is not strictly ascending (unsorted or
+    /// with a duplicate); only a deserialized instance can hold one.
+    UnsortedObjects(TxnId),
 }
 
 impl fmt::Display for InstanceError {
@@ -43,6 +46,9 @@ impl fmt::Display for InstanceError {
             InstanceError::DuplicateObject(o) => write!(f, "duplicate object id {o}"),
             InstanceError::ObjectNotYetCreated(t, o) => {
                 write!(f, "{t} requests {o} before it is created")
+            }
+            InstanceError::UnsortedObjects(t) => {
+                write!(f, "{t} lists its objects out of order or twice")
             }
         }
     }
@@ -135,7 +141,8 @@ impl Instance {
     }
 
     /// Validate against a network: nodes in range, object references known,
-    /// ids unique, creation times consistent.
+    /// ids unique, object lists strictly ascending, creation times
+    /// consistent.
     pub fn validate(&self, network: &Network) -> Result<(), InstanceError> {
         let n = network.n();
         let mut obj_ids = BTreeSet::new();
@@ -155,7 +162,12 @@ impl Instance {
             if !txn_ids.insert(t.id) {
                 return Err(InstanceError::DuplicateTxn(t.id));
             }
+            let mut prev = None;
             for o in t.objects() {
+                if prev >= Some(o) {
+                    return Err(InstanceError::UnsortedObjects(t.id));
+                }
+                prev = Some(o);
                 match self.object(o) {
                     None => return Err(InstanceError::UnknownObject(t.id, o)),
                     Some(info) if info.created_at > t.generated_at => {
@@ -291,6 +303,21 @@ mod tests {
             inst.validate(&net),
             Err(InstanceError::ObjectNotYetCreated(TxnId(0), ObjectId(0)))
         );
+    }
+
+    #[test]
+    fn rejects_unsorted_object_list() {
+        let net = topology::line(4);
+        for objects in ["[[1],[0]]", "[[0],[0]]", "[[0],[1],[1]]"] {
+            let json = format!(r#"{{"id":[5],"home":[0],"objects":{objects},"generated_at":0}}"#);
+            let t: Transaction = serde_json::from_str(&json).unwrap();
+            let inst = Instance::new(vec![obj(0, 0), obj(1, 1)], vec![t]);
+            assert_eq!(
+                inst.validate(&net),
+                Err(InstanceError::UnsortedObjects(TxnId(5))),
+                "{objects}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! executes (commits) at the step it has assembled all its objects.
 //!
 //! This crate defines:
-//! * [`Transaction`], [`ObjectInfo`] and the id types;
+//! * [`Transaction`] (a home node and a sorted object set `O(T)`; two
+//!   transactions conflict iff their object sets intersect, the paper's
+//!   only conflict notion), [`ObjectInfo`] and the id types;
 //! * [`Instance`] — a workload: object placements plus a set of
 //!   transactions with generation times (a *batch* instance has all
 //!   generation times equal to zero, the setting of Busch et al. SPAA'17);
@@ -48,4 +50,4 @@ pub use instance::{Instance, InstanceError, ObjectInfo};
 pub use schedule::Schedule;
 pub use source::{BatchSource, ClosedLoopSource, TraceSource, WorkloadSource};
 pub use stats::{workload_stats, WorkloadStats};
-pub use txn::{AccessMode, ObjectAccess, Transaction};
+pub use txn::Transaction;

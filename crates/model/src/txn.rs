@@ -4,29 +4,6 @@ use crate::ids::{ObjectId, Time, TxnId};
 use dtm_graph::NodeId;
 use serde::{Deserialize, Serialize};
 
-/// How a transaction accesses an object.
-///
-/// The paper treats every shared access as conflicting ("two transactions
-/// conflict if `O(T1) ∩ O(T2) ≠ ∅`"), i.e. exclusive/write accesses. Read
-/// sharing is provided as a library extension: two reads of the same object
-/// do not conflict. All paper experiments use [`AccessMode::Write`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum AccessMode {
-    /// Shared read access (extension; non-conflicting with other reads).
-    Read,
-    /// Exclusive access (the paper's model).
-    Write,
-}
-
-/// One object access of a transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ObjectAccess {
-    /// The accessed object.
-    pub object: ObjectId,
-    /// Access mode.
-    pub mode: AccessMode,
-}
-
 /// A transaction `T`: an atomic block residing at node `home` that needs
 /// the objects `O(T)` and executes instantly once all of them have arrived
 /// (Section II — "all delays in our model are due to communication").
@@ -36,145 +13,61 @@ pub struct Transaction {
     pub id: TxnId,
     /// The node where the transaction resides and executes.
     pub home: NodeId,
-    /// Accessed objects, sorted by object id, no duplicates.
-    pub accesses: Vec<ObjectAccess>,
+    /// The object set `O(T)`, sorted by object id, no duplicates. A
+    /// deserialized list is checked by [`crate::Instance::validate`].
+    objects: Vec<ObjectId>,
     /// The time step the transaction was generated.
     pub generated_at: Time,
 }
 
 impl Transaction {
-    /// Build a write-mode (paper model) transaction. Objects are sorted and
-    /// deduplicated.
+    /// Build a transaction. Objects are sorted and deduplicated.
     pub fn new(
         id: TxnId,
         home: NodeId,
         objects: impl IntoIterator<Item = ObjectId>,
         generated_at: Time,
     ) -> Self {
-        let mut accesses: Vec<ObjectAccess> = objects
-            .into_iter()
-            .map(|object| ObjectAccess {
-                object,
-                mode: AccessMode::Write,
-            })
-            .collect();
-        accesses.sort_unstable();
-        accesses.dedup_by_key(|a| a.object);
+        let mut objects: Vec<ObjectId> = objects.into_iter().collect();
+        objects.sort_unstable();
+        objects.dedup();
         Transaction {
             id,
             home,
-            accesses,
-            generated_at,
-        }
-    }
-
-    /// Build a transaction with explicit access modes. Duplicate objects are
-    /// merged; if any duplicate access writes, the merged access writes.
-    pub fn with_modes(
-        id: TxnId,
-        home: NodeId,
-        accesses: impl IntoIterator<Item = (ObjectId, AccessMode)>,
-        generated_at: Time,
-    ) -> Self {
-        let mut list: Vec<ObjectAccess> = accesses
-            .into_iter()
-            .map(|(object, mode)| ObjectAccess { object, mode })
-            .collect();
-        // Sort by object, Write before merge resolution via max(mode).
-        list.sort_unstable_by_key(|a| (a.object, std::cmp::Reverse(a.mode)));
-        list.dedup_by(|b, a| {
-            if a.object == b.object {
-                a.mode = a.mode.max(b.mode);
-                true
-            } else {
-                false
-            }
-        });
-        Transaction {
-            id,
-            home,
-            accesses: list,
+            objects,
             generated_at,
         }
     }
 
     /// The object set `O(T)`, sorted.
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.accesses.iter().map(|a| a.object)
+        self.objects.iter().copied()
     }
 
     /// Number of requested objects (`k` for this transaction).
     #[inline]
     pub fn k(&self) -> usize {
-        self.accesses.len()
-    }
-
-    /// Access mode for `object`, if requested.
-    pub fn mode_of(&self, object: ObjectId) -> Option<AccessMode> {
-        self.accesses
-            .binary_search_by_key(&object, |a| a.object)
-            .ok()
-            .map(|i| self.accesses[i].mode)
+        self.objects.len()
     }
 
     /// Does this transaction request `object`?
     pub fn uses(&self, object: ObjectId) -> bool {
-        self.mode_of(object).is_some()
+        self.objects.binary_search(&object).is_ok()
     }
 
-    /// Object-set intersection test: `O(T1) ∩ O(T2) ≠ ∅`.
-    ///
-    /// This is the paper's conflict notion and the one **schedulers must
-    /// use**: objects are single-copy and mobile, so even two read
-    /// accesses of the same object serialize physically (the object can
-    /// only be at one node per step). [`Transaction::conflicts_with`] is
-    /// the read/write-aware refinement for analysis layers that model
-    /// replication.
+    /// The paper's conflict test, `O(T1) ∩ O(T2) ≠ ∅`: objects are
+    /// single-copy and mobile, so any two requests of one object
+    /// serialize.
     pub fn shares_objects(&self, other: &Transaction) -> bool {
         let (mut i, mut j) = (0, 0);
-        while i < self.accesses.len() && j < other.accesses.len() {
-            match self.accesses[i].object.cmp(&other.accesses[j].object) {
+        while i < self.objects.len() && j < other.objects.len() {
+            match self.objects[i].cmp(&other.objects[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => return true,
             }
         }
         false
-    }
-
-    /// Conflict test: the transactions share an object and at least one of
-    /// the two accesses is a write. Under the paper's all-write model this
-    /// reduces to `O(T1) ∩ O(T2) ≠ ∅`.
-    pub fn conflicts_with(&self, other: &Transaction) -> bool {
-        // Merge-scan over the two sorted access lists.
-        let (mut i, mut j) = (0, 0);
-        while i < self.accesses.len() && j < other.accesses.len() {
-            let (a, b) = (&self.accesses[i], &other.accesses[j]);
-            match a.object.cmp(&b.object) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if a.mode == AccessMode::Write || b.mode == AccessMode::Write {
-                        return true;
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        false
-    }
-
-    /// The shared objects on which `self` and `other` conflict.
-    pub fn conflict_objects(&self, other: &Transaction) -> Vec<ObjectId> {
-        self.accesses
-            .iter()
-            .filter_map(|a| {
-                other.mode_of(a.object).and_then(|m| {
-                    (a.mode == AccessMode::Write || m == AccessMode::Write).then_some(a.object)
-                })
-            })
-            .collect()
     }
 }
 
@@ -199,38 +92,10 @@ mod tests {
         let a = t(1, &[1, 2]);
         let b = t(2, &[2, 3]);
         let c = t(3, &[4]);
-        assert!(a.conflicts_with(&b));
-        assert!(b.conflicts_with(&a));
-        assert!(!a.conflicts_with(&c));
-        assert_eq!(a.conflict_objects(&b), vec![ObjectId(2)]);
-    }
-
-    #[test]
-    fn read_read_does_not_conflict() {
-        let a = Transaction::with_modes(TxnId(1), NodeId(0), [(ObjectId(1), AccessMode::Read)], 0);
-        let b = Transaction::with_modes(TxnId(2), NodeId(1), [(ObjectId(1), AccessMode::Read)], 0);
-        let w = Transaction::with_modes(TxnId(3), NodeId(2), [(ObjectId(1), AccessMode::Write)], 0);
-        assert!(!a.conflicts_with(&b));
-        assert!(a.conflicts_with(&w));
-        assert!(w.conflicts_with(&b));
-    }
-
-    #[test]
-    fn with_modes_merges_duplicates_preferring_write() {
-        let tx = Transaction::with_modes(
-            TxnId(1),
-            NodeId(0),
-            [
-                (ObjectId(1), AccessMode::Read),
-                (ObjectId(1), AccessMode::Write),
-                (ObjectId(2), AccessMode::Read),
-            ],
-            0,
-        );
-        assert_eq!(tx.k(), 2);
-        assert_eq!(tx.mode_of(ObjectId(1)), Some(AccessMode::Write));
-        assert_eq!(tx.mode_of(ObjectId(2)), Some(AccessMode::Read));
-        assert_eq!(tx.mode_of(ObjectId(9)), None);
+        assert!(a.shares_objects(&b));
+        assert!(b.shares_objects(&a));
+        assert!(!a.shares_objects(&c));
+        assert!(!c.shares_objects(&a));
     }
 
     #[test]
@@ -244,7 +109,8 @@ mod tests {
     fn empty_object_set_never_conflicts() {
         let a = t(1, &[]);
         let b = t(2, &[1, 2, 3]);
-        assert!(!a.conflicts_with(&b));
+        assert!(!a.shares_objects(&b));
+        assert!(!b.shares_objects(&a));
         assert_eq!(a.k(), 0);
     }
 }

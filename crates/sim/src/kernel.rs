@@ -778,7 +778,7 @@ impl<P: SchedulingPolicy, S: WorkloadSource> StepKernel<P, S> {
                             list.remove(pos);
                         }
                     }
-                    // dtm-lint: allow(C1) -- object ids in a live txn's read/write set always exist in the arena
+                    // dtm-lint: allow(C1) -- object ids in a live txn's object set always exist in the arena
                     self.state.object_mut(o).expect("object exists").last_holder = Some(txn_id);
                 }
                 self.effects.committed.push(txn_id);

@@ -89,15 +89,6 @@ pub enum DecisionKind {
         /// The object being chased.
         object: ObjectId,
     },
-    /// Randomized backoff: a random offset inside the contention window.
-    Backoff {
-        /// Window size the offset was drawn from.
-        window: Time,
-        /// The drawn backoff.
-        backoff: Time,
-        /// Conflicting constraints considered.
-        conflicts: usize,
-    },
 }
 
 impl DecisionKind {
@@ -113,7 +104,6 @@ impl DecisionKind {
             DecisionKind::DistInsert { .. } => "dist-insert",
             DecisionKind::DistActivate { .. } => "dist-activate",
             DecisionKind::DistChase { .. } => "dist-chase",
-            DecisionKind::Backoff { .. } => "backoff",
         }
     }
 }

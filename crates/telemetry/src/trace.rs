@@ -822,6 +822,16 @@ mod tests {
             err_at(&good[..good.len() - 10]).1,
             RecordErrorKind::Malformed(_)
         ));
+        // A transaction in the older shape with per-object access modes.
+        let objects = "\"objects\":[[0]]";
+        assert!(lines[1].contains(objects), "{}", lines[1]);
+        let accesses = lines[1].replace(
+            objects,
+            "\"accesses\":[{\"object\":[0],\"mode\":\"Write\"}]",
+        );
+        let (line, kind) = err_at(&join(&[lines[0], &accesses, lines[2], lines[3]]));
+        assert_eq!(line, 2);
+        assert!(matches!(kind, RecordErrorKind::Data(_)), "{kind:?}");
     }
 
     #[test]

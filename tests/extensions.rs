@@ -1,9 +1,9 @@
 //! Integration tests for the library extensions beyond the paper's core
-//! algorithms: application-benchmark presets, adaptive policies, the
+//! algorithms: application-benchmark presets, the baseline policies, the
 //! message-level distributed protocol, congestion analysis and timeline
 //! rendering — all exercised together through the public API.
 
-use dtm_core::{AutoPolicy, DistributedMsgPolicy, GreedyPolicy, RandomizedBackoffPolicy};
+use dtm_core::{DistributedMsgPolicy, FifoPolicy, GreedyPolicy, TspPolicy};
 use dtm_graph::topology;
 use dtm_model::{presets, TraceSource, WorkloadGenerator};
 use dtm_offline::ListScheduler;
@@ -21,8 +21,8 @@ fn bank_benchmark_under_all_extension_policies() {
     assert!(n > 0);
     for policy in [
         Box::new(GreedyPolicy::new()) as Box<dyn dtm_sim::SchedulingPolicy>,
-        Box::new(RandomizedBackoffPolicy::new(7)),
-        Box::new(AutoPolicy::for_network(&net)),
+        Box::new(FifoPolicy::new()),
+        Box::new(TspPolicy::new()),
     ] {
         let res = run_policy(
             &net,
